@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all ci build test race chaos serve-smoke gbcsr-smoke patch-smoke shard-smoke fuzz cover bench bench-compare bench-scaling bench-smoke figures fmt fmtcheck vet staticcheck govulncheck clean
+.PHONY: all ci build test race chaos serve-smoke gbcsr-smoke patch-smoke shard-smoke fuzz cover bench bench-compare bench-scaling bench-smoke bench-e2e-smoke figures fmt fmtcheck vet staticcheck govulncheck clean
 
 all: build vet fmtcheck test
 
 # The exact gate .github/workflows/ci.yml runs; `make ci` reproduces a CI
 # failure locally. staticcheck/govulncheck no-op with a notice when the
 # tools aren't installed (CI installs them).
-ci: fmtcheck vet staticcheck govulncheck build test race chaos serve-smoke gbcsr-smoke patch-smoke shard-smoke bench-smoke
+ci: fmtcheck vet staticcheck govulncheck build test race chaos serve-smoke gbcsr-smoke patch-smoke shard-smoke bench-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -84,26 +84,24 @@ cover:
 bench:
 	$(GO) test -run xxx -bench=. -benchmem -benchtime=1x ./...
 
-# Multicore scaling sweep of warm sampling growth: the full
-# mode × workers matrix of BenchmarkSamplingGrowWarm, saved to
-# results/bench_scaling.txt, plus a per-mode speedup table via benchstat
-# when it is installed (the raw capture always lands either way).
+# Multicore scaling sweep of warm sampling growth: the workers matrix of
+# BenchmarkSamplingGrowWarm, saved to results/bench_scaling.txt.
 bench-scaling:
 	mkdir -p results
 	$(GO) test -run xxx -bench 'BenchmarkSamplingGrowWarm' -benchmem -count=3 . \
 		| tee results/bench_scaling.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		grep -E '^Bench.*mode=deterministic' results/bench_scaling.txt | sed 's|mode=deterministic/||' > results/bench_scaling_det.txt; \
-		grep -E '^Bench.*mode=fast' results/bench_scaling.txt | sed 's|mode=fast/||' > results/bench_scaling_fast.txt; \
-		echo "== deterministic vs fast (same workers) =="; \
-		benchstat results/bench_scaling_det.txt results/bench_scaling_fast.txt; \
-	else echo "benchstat: not installed, skipping speedup table"; fi
 
-# One-op race-checked pass over the fast-mode growth benchmarks — the CI
-# guard that keeps the epoch pipeline data-race-free without paying for a
-# full benchmark run.
+# One-op race-checked pass over the warm growth benchmarks at workers
+# {1,2,4,8} — the CI guard that keeps the lane fork-join data-race-free
+# without paying for a full benchmark run.
 bench-smoke:
-	$(GO) test -race -run xxx -bench 'BenchmarkSamplingGrowWarm/mode=fast' -benchtime=1x .
+	$(GO) test -race -run xxx -bench 'BenchmarkSamplingGrowWarm' -benchtime=1x .
+
+# Vet and smoke-test cmd/gbcbench, the end-to-end benchmark. It is a module
+# of its own, so the root build, vet and tests do not compile it; this
+# target catches a change that breaks an identifier it uses.
+bench-e2e-smoke:
+	cd cmd/gbcbench && $(GO) vet . && $(GO) test .
 
 # Compare two captured benchmark runs (the BENCH_N workflow used by
 # BENCH_2/BENCH_3; see README "Benchmark comparison workflow"):

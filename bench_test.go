@@ -377,28 +377,22 @@ func BenchmarkSamplingGrow(b *testing.B) {
 }
 
 // BenchmarkSamplingGrowWarm measures steady-state growth on a long-lived
-// set: the worker pool, per-worker samplers and arenas are warm, so each op
-// is pure drawing plus the bulk arena append — the zero-allocation regime
-// the persistent pipeline targets.
+// set: the per-lane samplers and arenas are warm, so each op is pure
+// drawing plus the bulk arena append — the zero-allocation regime the
+// pipeline targets.
 func BenchmarkSamplingGrowWarm(b *testing.B) {
 	g := BarabasiAlbert(5000, 3, 27)
-	for _, mode := range []sampling.Mode{sampling.Deterministic, sampling.Fast} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("mode=%v/workers=%d", mode, workers), func(b *testing.B) {
-				set := sampling.NewBidirectionalSet(g, xrand.New(1))
-				set.Workers = workers
-				set.Mode = mode
-				set.GrowTo(10000)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					// Fast mode stops past its target at an epoch boundary,
-					// so each op asks for 10k more than whatever is committed
-					// to keep per-op work comparable across modes.
-					set.GrowTo(set.Len() + 10000)
-				}
-			})
-		}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			set := sampling.NewBidirectionalSet(g, xrand.New(1))
+			set.Workers = workers
+			set.GrowTo(10000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				set.GrowTo(set.Len() + 10000)
+			}
+		})
 	}
 }
 

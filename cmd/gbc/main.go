@@ -49,7 +49,6 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock bound (e.g. 5s, 2m); on expiry the best-so-far group is printed (0 = none)")
 	flag.IntVar(&o.workers, "workers", 0, "sampling goroutines (<2 = sequential; results are identical)")
-	flag.StringVar(&o.sampling, "sampling", "deterministic", "growth execution mode: deterministic (bit-exact for a given seed) or fast (free-running workers, same ε guarantee)")
 	flag.BoolVar(&o.verify, "verify", false, "also compute the exact B(C) of the found group (O(n(n+m)))")
 	flag.BoolVar(&o.trace, "trace", false, "print per-iteration statistics")
 	flag.BoolVar(&o.labels, "labels", false, "print original node labels instead of dense ids")
@@ -87,7 +86,6 @@ type cliOptions struct {
 	seed        uint64
 	timeout     time.Duration
 	workers     int
-	sampling    string
 	verify      bool
 	trace       bool
 	labels      bool
@@ -211,12 +209,6 @@ func run(ctx context.Context, o cliOptions) (err error) {
 	if err != nil {
 		return err
 	}
-	var mode gbc.SamplingMode // zero value: deterministic
-	if o.sampling != "" {
-		if mode, err = gbc.ParseSamplingMode(o.sampling); err != nil {
-			return err
-		}
-	}
 	if !o.jsonOut {
 		fmt.Printf("graph: %v\n", g)
 	}
@@ -224,7 +216,6 @@ func run(ctx context.Context, o cliOptions) (err error) {
 	opts := gbc.Options{
 		K: o.k, Epsilon: o.eps, Gamma: o.gamma, Seed: o.seed,
 		CollectTrace: o.trace, MaxDuration: o.timeout, Workers: o.workers,
-		Sampling: mode,
 	}
 	stopProgress := func() {}
 	if o.progress || o.metricsAddr != "" {
@@ -265,7 +256,6 @@ func run(ctx context.Context, o cliOptions) (err error) {
 			Epsilon: o.eps, Gamma: o.gamma, Seed: o.seed,
 			Result: gbc.NewWireResult(alg, o.k, res, label),
 		}
-		out.Result.SamplingMode = mode
 		if o.verify {
 			out.ExactGBC = gbc.ExactGBC(g, res.Group)
 		}
@@ -280,7 +270,7 @@ func run(ctx context.Context, o cliOptions) (err error) {
 				it.Q, it.Guess, it.L, it.Biased, it.Unbiased, it.Cnt, it.Beta, it.EpsilonSum)
 		}
 	}
-	fmt.Printf("algorithm: %v (ε=%g, γ=%g, seed=%d, sampling=%v)\n", alg, o.eps, o.gamma, o.seed, mode)
+	fmt.Printf("algorithm: %v (ε=%g, γ=%g, seed=%d)\n", alg, o.eps, o.gamma, o.seed)
 	fmt.Printf("group (K=%d):", o.k)
 	for _, v := range res.Group {
 		if o.labels {

@@ -44,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"gbc/internal/core"
 	"gbc/internal/faultinject"
 	"gbc/internal/obs"
 	"gbc/internal/server"
@@ -94,7 +93,6 @@ func parseFlags(args []string, onError flag.ErrorHandling) config {
 	fs.Float64Var(&cfg.server.FastLaneThreshold, "fastlane-threshold", 0, "route runs at or below this estimated cost through the small-job fast lane (0 = default 1e7, negative = disable)")
 	fs.Float64Var(&cfg.server.TenantRPS, "tenant-rps", 0, "per-tenant /v1/topk requests per second, keyed on the X-Tenant header (0 = unlimited)")
 	fs.Int64Var(&cfg.server.MaxBodyBytes, "max-body", 0, "request body size limit for non-upload endpoints (0 = 1 MiB)")
-	fs.TextVar(&cfg.server.DefaultSampling, "sampling-mode", core.SamplingFast, "growth mode for requests that name none: fast (free-running workers, ε guarantee, scheduling-dependent sample counts) or deterministic (bit-exact responses)")
 	fs.BoolVar(&cfg.shardMode, "shard", false, "run as a shard worker: serve epoch draw requests over the shard wire protocol instead of the full API")
 	fs.StringVar(&cfg.shards, "shards", "", "comma-separated shard-worker base URLs; non-empty makes this daemon a coordinator that dispatches sample growth for .gbcsr-path graphs across them")
 	fs.DurationVar(&cfg.server.ShardEpochTimeout, "shard-epoch-timeout", 0, "per-epoch deadline on one shard worker before its range is reassigned (0 = 30s)")

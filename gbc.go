@@ -111,27 +111,6 @@ const (
 // ParseAlgorithm resolves an algorithm name ("AdaAlg", "HEDGE", ...).
 func ParseAlgorithm(name string) (Algorithm, error) { return core.ParseAlgorithm(name) }
 
-// SamplingMode selects how samples are drawn: Deterministic (the default)
-// commits fixed chunks in lock step and is bit-reproducible across worker
-// counts and runs; Fast free-runs the sampling workers with epoch-based
-// merges — the same ε guarantee, typically much better multicore scaling,
-// but results are not bit-identical run to run. Set it via
-// Options.Sampling.
-type SamplingMode = core.SamplingMode
-
-// The sampling execution modes.
-const (
-	// SamplingDeterministic: lock-step chunks, bit-reproducible (default).
-	SamplingDeterministic = core.SamplingDeterministic
-	// SamplingFast: free-running workers with epoch merges; statistically
-	// equivalent, not bit-reproducible.
-	SamplingFast = core.SamplingFast
-)
-
-// ParseSamplingMode resolves a sampling mode name ("deterministic" or
-// "fast", any case) — the inverse of SamplingMode.String.
-func ParseSamplingMode(name string) (SamplingMode, error) { return core.ParseSamplingMode(name) }
-
 // ParseStopReason resolves a stop reason name ("Converged", "Deadline", ...)
 // — the inverse of StopReason.String, used when decoding wire results.
 func ParseStopReason(name string) (StopReason, error) { return core.ParseStopReason(name) }

@@ -29,7 +29,6 @@ func newSamplerSet(g *graph.Graph, opts Options, r *xrand.Rand, label string) *s
 		set = sampling.NewBidirectionalSet(g, r)
 	}
 	set.Workers = opts.Workers
-	set.Mode = opts.Sampling
 	set.Label = label
 	set.Metrics = opts.Metrics
 	if opts.Observer != nil {

@@ -29,8 +29,6 @@ type BudgetedOptions struct {
 	MaxDuration time.Duration
 	// Workers sets the sampling goroutine count, as in Options.Workers.
 	Workers int
-	// Sampling selects the growth execution mode, as in Options.Sampling.
-	Sampling sampling.Mode
 	// Metrics, when non-nil, receives counter updates as in Options.Metrics.
 	Metrics *obs.Metrics
 	// SamplerSet, when non-nil, replaces the default sampler-set
@@ -108,7 +106,6 @@ func BudgetedGBCCtx(ctx context.Context, g *graph.Graph, opts BudgetedOptions) (
 		set = sampling.NewSetFor(g, r)
 	}
 	set.Workers = opts.Workers
-	set.Mode = opts.Sampling
 	set.Label = "S"
 	set.Metrics = opts.Metrics
 	res := &Result{}

@@ -125,7 +125,7 @@ func RunCtx(ctx context.Context, alg Algorithm, g *graph.Graph, opts Options) (*
 			Costs: opts.Costs, Budget: opts.Budget,
 			Epsilon: opts.Epsilon, Gamma: opts.Gamma, Seed: opts.Seed,
 			MaxSamples: opts.MaxSamples, MaxDuration: opts.MaxDuration,
-			Workers: opts.Workers, Sampling: opts.Sampling, Metrics: opts.Metrics,
+			Workers: opts.Workers, Metrics: opts.Metrics,
 			SamplerSet: opts.SamplerSet,
 		})
 	}

@@ -33,23 +33,6 @@ import (
 // E is the base of the natural logarithm; 1-1/e is the greedy guarantee.
 const invE = 1 / math.E
 
-// SamplingMode re-exports sampling.Mode at the core API surface: the
-// growth execution mode of Options.Sampling and wire results.
-type SamplingMode = sampling.Mode
-
-// The sampling execution modes.
-const (
-	// SamplingDeterministic grows in bit-reproducible lock-step chunks
-	// (the default).
-	SamplingDeterministic = sampling.Deterministic
-	// SamplingFast grows with free-running workers and epoch merges —
-	// statistically equivalent, not bit-reproducible.
-	SamplingFast = sampling.Fast
-)
-
-// ParseSamplingMode resolves a mode name ("deterministic" or "fast").
-func ParseSamplingMode(name string) (SamplingMode, error) { return sampling.ParseMode(name) }
-
 // Options configures a top-K GBC computation.
 type Options struct {
 	// Algorithm selects the algorithm Solve runs. The zero value is
@@ -87,17 +70,9 @@ type Options struct {
 	// CollectTrace records per-iteration statistics in Result.Trace.
 	CollectTrace bool
 	// Workers sets the number of goroutines used to draw samples (< 2 =
-	// sequential). In the default Deterministic sampling mode results are
-	// identical for any worker count: each sample index has its own
-	// deterministic RNG stream.
+	// sequential). Results are identical for any worker count: each sample
+	// index has its own deterministic RNG stream.
 	Workers int
-	// Sampling selects the growth execution mode. The zero value,
-	// sampling.Deterministic, keeps runs bit-reproducible across worker
-	// counts. sampling.Fast grows with free-running workers and epoch
-	// merges: the committed samples are the same index-pure draws, but
-	// growth stops at scheduling-dependent epoch boundaries, so results
-	// satisfy the same ε guarantee without being bit-identical run to run.
-	Sampling sampling.Mode
 
 	// Observer, when non-nil, receives progress callbacks on the run's
 	// coordinating goroutine: OnGrowth after every committed sample chunk,
@@ -109,7 +84,7 @@ type Options struct {
 	// hook, concurrent runs with different observers never interact.
 	Observer obs.Observer
 	// Metrics, when non-nil, receives atomic counter and gauge updates
-	// (samples drawn, arena bytes, pool utilization, adaptive-loop state)
+	// (samples drawn, arena bytes, busy sampling lanes, adaptive-loop state)
 	// from the run's hot paths. Several concurrent runs may share one
 	// Metrics; a nil Metrics costs only nil checks.
 	Metrics *obs.Metrics
@@ -194,9 +169,6 @@ func (o Options) Validate() error {
 	}
 	if o.Workers < 0 {
 		return optErr("Workers", o.Workers, "worker count cannot be negative")
-	}
-	if !o.Sampling.Valid() {
-		return optErr("Sampling", int(o.Sampling), "unknown sampling mode")
 	}
 	if o.MaxSamples < 0 {
 		return optErr("MaxSamples", o.MaxSamples, "sample cap cannot be negative")

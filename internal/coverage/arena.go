@@ -44,9 +44,7 @@ func (a *PathArena) EndPath() {
 
 // AppendArena appends every path of src to a, preserving order. Both
 // arenas keep their capacity across reuse, so steady-state appends copy
-// bytes without allocating. It is the carry step of fast-mode growth:
-// completed worker frames are folded into per-worker carry arenas before
-// the epoch merge commits a common prefix.
+// bytes without allocating.
 func (a *PathArena) AppendArena(src *PathArena) {
 	base := int32(len(a.Nodes))
 	a.Nodes = append(a.Nodes, src.Nodes...)
@@ -59,38 +57,13 @@ func (a *PathArena) AppendArena(src *PathArena) {
 	a.Obs = append(a.Obs, src.Obs...)
 }
 
-// DropFront removes the first m paths, sliding the remaining paths (and
-// their offsets) to the front in place. It is the carry-compaction step of
-// fast-mode growth: after the epoch merge commits the common per-worker
-// prefix, each carry keeps only its uncommitted tail.
-func (a *PathArena) DropFront(m int) {
-	if m <= 0 {
-		return
-	}
-	if m >= a.Len() {
-		a.Reset()
-		return
-	}
-	cut := a.Offsets[m]
-	n := copy(a.Nodes, a.Nodes[cut:])
-	a.Nodes = a.Nodes[:n]
-	rem := a.Len() - m
-	for i := 0; i <= rem; i++ {
-		a.Offsets[i] = a.Offsets[i+m] - cut
-	}
-	a.Offsets = a.Offsets[:rem+1]
-	if len(a.Obs) >= 2*m {
-		k := copy(a.Obs, a.Obs[2*m:])
-		a.Obs = a.Obs[:k]
-	}
-}
-
 // AddArenas bulk-appends every path of every arena, in arena order — the
-// contiguous-block split the EWMA-sized deterministic sampler produces
-// (worker w draws one contiguous index range, so concatenating the arenas
-// in worker order reproduces exact global index order). Empty ranges are
-// appended as null samples; their count is returned. Like AddStrided it
-// never touches the inverted index — Commit folds the new paths in later.
+// contiguous-block split the EWMA-sized sampling lanes produce (lane w
+// draws one contiguous index range, so concatenating the arenas in lane
+// order reproduces exact global index order). Empty ranges are appended as
+// null samples; their count is returned so the caller can maintain its
+// unreachable count. Like Add, AddArenas never touches the inverted index
+// — Commit folds the new paths in at the next growth boundary.
 func (c *Instance) AddArenas(arenas []*PathArena) (nulls int) {
 	for _, a := range arenas {
 		for k := 0; k < a.Len(); k++ {
@@ -101,29 +74,6 @@ func (c *Instance) AddArenas(arenas []*PathArena) (nulls int) {
 			c.nodes = append(c.nodes, a.Nodes[lo:hi]...)
 			c.offsets = append(c.offsets, int64(len(c.nodes)))
 		}
-	}
-	return nulls
-}
-
-// AddStrided bulk-appends count paths spread round-robin across the worker
-// arenas: global sample j of the block is path j/len(arenas) of arena
-// j%len(arenas) (the strided split the parallel sampler produces), so the
-// instance receives the paths in exact index order without materializing a
-// per-path slice. Empty ranges are appended as null samples; the number of
-// them is returned so the caller can maintain its unreachable count. Like
-// Add, AddStrided never touches the inverted index — Commit folds the new
-// paths in at the next growth boundary.
-func (c *Instance) AddStrided(arenas []*PathArena, count int) (nulls int) {
-	w := len(arenas)
-	for j := 0; j < count; j++ {
-		a := arenas[j%w]
-		k := j / w
-		lo, hi := a.Offsets[k], a.Offsets[k+1]
-		if lo == hi {
-			nulls++
-		}
-		c.nodes = append(c.nodes, a.Nodes[lo:hi]...)
-		c.offsets = append(c.offsets, int64(len(c.nodes)))
 	}
 	return nulls
 }

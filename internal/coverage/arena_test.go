@@ -1,108 +1,109 @@
 package coverage
 
 import (
+	"slices"
 	"testing"
 
 	"gbc/internal/xrand"
 )
 
-// stripedPaths deals count deterministic paths (some null) round-robin into
-// w arenas, returning the arenas and the paths in global index order.
-func stripedPaths(t *testing.T, n, count, w int, seed uint64) ([]*PathArena, [][]int32) {
+// blockPaths fills one arena per entry of sizes with that many
+// deterministic paths (about a fifth of them null), in order, returning the
+// arenas and the paths in global index order — the contiguous-block split
+// the sampling lanes produce.
+func blockPaths(t *testing.T, n int, sizes []int, seed uint64) ([]*PathArena, [][]int32) {
 	t.Helper()
 	r := xrand.New(seed)
-	arenas := make([]*PathArena, w)
-	for i := range arenas {
-		arenas[i] = &PathArena{}
-		arenas[i].Reset()
-	}
-	paths := make([][]int32, count)
-	for j := 0; j < count; j++ {
-		a := arenas[j%w]
-		if r.Float64() < 0.2 { // null sample
+	arenas := make([]*PathArena, len(sizes))
+	var paths [][]int32
+	for i, size := range sizes {
+		a := &PathArena{}
+		a.Reset()
+		arenas[i] = a
+		for j := 0; j < size; j++ {
+			if r.Float64() < 0.2 { // null sample
+				a.EndPath()
+				paths = append(paths, nil)
+				continue
+			}
+			length := 1 + r.Intn(6)
+			p := make([]int32, 0, length)
+			for len(p) < length {
+				v := int32(r.Intn(n))
+				p = append(p, v)
+				a.Nodes = append(a.Nodes, v)
+			}
 			a.EndPath()
-			continue
+			paths = append(paths, p)
 		}
-		length := 1 + r.Intn(6)
-		p := make([]int32, 0, length)
-		for len(p) < length {
-			v := int32(r.Intn(n))
-			p = append(p, v)
-			a.Nodes = append(a.Nodes, v)
-		}
-		a.EndPath()
-		paths[j] = p
 	}
 	return arenas, paths
 }
 
-// TestAddStridedMatchesAdd checks the strided bulk append against the
-// one-path-at-a-time reference across worker counts, including counts that
-// do not divide evenly.
-func TestAddStridedMatchesAdd(t *testing.T) {
+// TestAddArenasMatchesAdd checks the block bulk append against the
+// one-path-at-a-time reference over uneven block sizes, including empty
+// blocks and null samples (empty ranges, which must be counted).
+func TestAddArenasMatchesAdd(t *testing.T) {
 	const n = 50
-	for _, w := range []int{1, 2, 3, 4, 7} {
-		for _, count := range []int{0, 1, w, 3*w + 1, 97} {
-			arenas, paths := stripedPaths(t, n, count, w, uint64(31*w+count))
-			bulk := New(n)
-			nulls := bulk.AddStrided(arenas, count)
-			ref := New(n)
-			wantNulls := 0
-			for _, p := range paths {
-				ref.Add(p)
-				if p == nil {
-					wantNulls++
-				}
+	for i, sizes := range [][]int{
+		{}, {0}, {1}, {97}, {3, 0, 5}, {1, 2, 3, 4}, {40, 1, 0, 17, 9, 30, 2},
+	} {
+		arenas, paths := blockPaths(t, n, sizes, uint64(31+i))
+		bulk := New(n)
+		nulls := bulk.AddArenas(arenas)
+		ref := New(n)
+		wantNulls := 0
+		for _, p := range paths {
+			ref.Add(p)
+			if p == nil {
+				wantNulls++
 			}
-			if nulls != wantNulls {
-				t.Fatalf("w=%d count=%d: nulls %d, want %d", w, count, nulls, wantNulls)
+		}
+		if nulls != wantNulls {
+			t.Fatalf("sizes %v: nulls %d, want %d", sizes, nulls, wantNulls)
+		}
+		if bulk.Len() != ref.Len() {
+			t.Fatalf("sizes %v: Len %d vs %d", sizes, bulk.Len(), ref.Len())
+		}
+		for v := int32(0); int(v) < n; v++ {
+			if bulk.CoveredBy([]int32{v}) != ref.CoveredBy([]int32{v}) {
+				t.Fatalf("sizes %v: node %d coverage differs", sizes, v)
 			}
-			if bulk.Len() != ref.Len() {
-				t.Fatalf("w=%d count=%d: Len %d vs %d", w, count, bulk.Len(), ref.Len())
-			}
-			for v := int32(0); int(v) < n; v++ {
-				if bulk.CoveredBy([]int32{v}) != ref.CoveredBy([]int32{v}) {
-					t.Fatalf("w=%d count=%d: node %d coverage differs", w, count, v)
-				}
-			}
-			// Per-path arena contents must match exactly, not just coverage.
-			for j, p := range paths {
-				got := bulk.path(int32(j))
-				if len(got) != len(p) {
-					t.Fatalf("w=%d count=%d path %d: len %d vs %d", w, count, j, len(got), len(p))
-				}
-				for i := range p {
-					if got[i] != p[i] {
-						t.Fatalf("w=%d count=%d path %d: %v vs %v", w, count, j, got, p)
-					}
-				}
+		}
+		// Per-path arena contents must match exactly, not just coverage.
+		for j, p := range paths {
+			if got := bulk.path(int32(j)); !slices.Equal(got, p) {
+				t.Fatalf("sizes %v path %d: %v vs %v", sizes, j, got, p)
 			}
 		}
 	}
 }
 
-// TestAddStridedThenGrowAgain interleaves strided bulk appends with plain
-// Adds and greedy queries — the adaptive loop's cadence — to check Commit's
-// incremental rebuild sees both entry points identically.
-func TestAddStridedThenGrowAgain(t *testing.T) {
+// TestAddArenasThenGrowAgain interleaves block bulk appends with plain Adds,
+// Commits and greedy queries — the adaptive loop's cadence — to check
+// Commit's incremental rebuild sees both entry points identically.
+func TestAddArenasThenGrowAgain(t *testing.T) {
 	const n = 40
 	bulk := New(n)
 	ref := New(n)
 	for round := 0; round < 4; round++ {
-		arenas, paths := stripedPaths(t, n, 60, 3, uint64(100+round))
-		bulk.AddStrided(arenas, 60)
+		arenas, paths := blockPaths(t, n, []int{25, 0, 31, 4}, uint64(100+round))
+		bulk.AddArenas(arenas)
 		for _, p := range paths {
 			ref.Add(p)
 		}
+		// A few plain Adds on both sides between the block appends.
+		for _, p := range [][]int32{{int32(round), 7}, nil, {3}} {
+			bulk.Add(p)
+			ref.Add(p)
+		}
+		if round%2 == 1 {
+			bulk.Commit()
+		}
 		gb, cb := bulk.Greedy(4)
 		gr, cr := ref.Greedy(4)
-		if cb != cr {
-			t.Fatalf("round %d: covered %d vs %d", round, cb, cr)
-		}
-		for i := range gr {
-			if gb[i] != gr[i] {
-				t.Fatalf("round %d: groups %v vs %v", round, gb, gr)
-			}
+		if cb != cr || !slices.Equal(gb, gr) {
+			t.Fatalf("round %d: greedy %v (%d) vs %v (%d)", round, gb, cb, gr, cr)
 		}
 	}
 }

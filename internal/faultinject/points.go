@@ -1,5 +1,5 @@
 // Package faultinject is the fault-injection harness behind the chaos
-// tests: named injection points compiled into the sampler pool, the graph
+// tests: named injection points compiled into the sampling lanes, the graph
 // registry and the run scheduler, armed with fault behaviors (panic, sleep,
 // error) by tests or via the GBC_FAULTS environment variable.
 //
@@ -16,13 +16,13 @@ package faultinject
 // Injection point names. Constants live in this untagged file so call
 // sites and tests compile under either build.
 const (
-	// SamplingChunkPanic fires in a sampler-pool worker at the start of a
-	// growth job; an armed fault's error is panicked, exercising the
-	// worker-panic recovery path (*sampling.PanicError).
+	// SamplingChunkPanic fires in a sampling lane at the start of its
+	// share of a growth chunk; an armed fault's error is panicked,
+	// exercising the panic recovery path (*sampling.PanicError).
 	SamplingChunkPanic = "sampling/chunk-panic"
-	// SamplingChunkSlow fires in a sampler-pool worker at the start of a
-	// growth job; the armed fault is expected to sleep, simulating a
-	// straggler worker.
+	// SamplingChunkSlow fires in a sampling lane at the start of its share
+	// of a growth chunk; the armed fault is expected to sleep, simulating a
+	// straggler lane.
 	SamplingChunkSlow = "sampling/chunk-slow"
 	// SamplingReseed fires on every per-sample RNG reseed; an armed fault's
 	// error is panicked, simulating RNG failure mid-chunk.

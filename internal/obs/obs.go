@@ -35,8 +35,7 @@ type Metrics struct {
 	guessBits  atomic.Uint64 // float64 bits of the current guess g_q
 	epsSumBits atomic.Uint64 // float64 bits of the current ε_sum
 	arenaBytes atomic.Int64  // bytes held by the coverage engines' arenas+index
-	workers    atomic.Int64  // live sampling pool goroutines
-	busy       atomic.Int64  // pool goroutines currently drawing a job
+	busy       atomic.Int64  // sampling lanes currently drawing a chunk share
 	activeRuns atomic.Int64  // algorithm runs in flight
 	startNanos atomic.Int64  // wall clock of the first committed chunk
 
@@ -65,13 +64,9 @@ type Metrics struct {
 	graphLoadNanos    atomic.Int64 // cumulative wall time spent loading graphs from files
 	registryFileLoads atomic.Int64 // registry graphs loaded from the "file" source
 
-	// Parallel-execution counters (PR 8): fast-mode epoch merges and the
-	// time samplers spend not sampling — waiting at the deterministic chunk
-	// barrier for a straggling sibling, or (fast mode) waiting for a free
-	// frame because the coordinator fell behind.
-	epochsCommitted  atomic.Int64 // fast-mode epoch merges into the coverage instance
-	epochMergeNanos  atomic.Int64 // cumulative wall time inside epoch merges
-	samplerIdleNanos atomic.Int64 // cumulative worker wait (barrier or frame starvation)
+	// Parallel-execution counter (PR 8): the time sampling lanes spend not
+	// sampling — waiting at the chunk barrier for a straggling sibling.
+	samplerIdleNanos atomic.Int64 // cumulative lane wait at chunk barriers
 
 	// Dynamic-graph counters (PR 9): graph versions created by PATCH,
 	// incremental sample repairs, and results served straight from the
@@ -119,19 +114,8 @@ func (m *Metrics) RegistryFileLoad() {
 	m.registryFileLoads.Add(1)
 }
 
-// EpochCommitted records one fast-mode epoch merge that took mergeNanos of
-// coordinator wall time.
-func (m *Metrics) EpochCommitted(mergeNanos int64) {
-	if m == nil {
-		return
-	}
-	m.epochsCommitted.Add(1)
-	m.epochMergeNanos.Add(mergeNanos)
-}
-
-// AddSamplerIdle accumulates worker time spent waiting instead of drawing:
-// the barrier wait of deterministic chunks (finished workers idling behind
-// the straggler) or a fast-mode worker starved of free frames.
+// AddSamplerIdle accumulates lane time spent waiting instead of drawing:
+// the chunk barrier wait of finished lanes idling behind the straggler.
 func (m *Metrics) AddSamplerIdle(nanos int64) {
 	if m == nil {
 		return
@@ -180,16 +164,8 @@ func (m *Metrics) AddArenaBytes(delta int64) {
 	m.arenaBytes.Add(delta)
 }
 
-// AddPoolWorkers adjusts the live-pool-goroutine gauge.
-func (m *Metrics) AddPoolWorkers(n int) {
-	if m == nil {
-		return
-	}
-	m.workers.Add(int64(n))
-}
-
-// WorkerBusy adjusts the busy-worker gauge (+1 when a pool goroutine picks
-// up a grow job, -1 when it finishes).
+// WorkerBusy adjusts the busy-worker gauge (+1 when a sampling lane starts
+// drawing its share of a chunk, -1 when it finishes).
 func (m *Metrics) WorkerBusy(delta int) {
 	if m == nil {
 		return
@@ -234,7 +210,7 @@ func (m *Metrics) IncCoalesced() {
 }
 
 // RegistryHit counts one warm sampling set served from a graph-registry
-// entry: the run skipped cold-starting its sampler pool and arenas.
+// entry: the run skipped cold-starting its sampling lanes and arenas.
 func (m *Metrics) RegistryHit() {
 	if m == nil {
 		return
@@ -376,7 +352,6 @@ type Stats struct {
 	Guess         float64 `json:"guess"`
 	EpsilonSum    float64 `json:"epsilonSum"`
 	ArenaBytes    int64   `json:"arenaBytes"`
-	PoolWorkers   int64   `json:"poolWorkers"`
 	BusyWorkers   int64   `json:"busyWorkers"`
 	ActiveRuns    int64   `json:"activeRuns"`
 	SamplesPerSec float64 `json:"samplesPerSec"`
@@ -397,8 +372,6 @@ type Stats struct {
 	GraphLoadNanos    int64 `json:"graphLoadNanos"`
 	RegistryFileLoads int64 `json:"registryFileLoads"`
 
-	EpochsCommitted  int64 `json:"epochsCommitted"`
-	EpochMergeNanos  int64 `json:"epochMergeNanos"`
 	SamplerIdleNanos int64 `json:"samplerIdleNanos"`
 
 	GraphPatches    int64 `json:"graphPatches"`
@@ -430,7 +403,6 @@ func (m *Metrics) Snapshot() Stats {
 		Guess:       math.Float64frombits(m.guessBits.Load()),
 		EpsilonSum:  math.Float64frombits(m.epsSumBits.Load()),
 		ArenaBytes:  m.arenaBytes.Load(),
-		PoolWorkers: m.workers.Load(),
 		BusyWorkers: m.busy.Load(),
 		ActiveRuns:  m.activeRuns.Load(),
 
@@ -450,8 +422,6 @@ func (m *Metrics) Snapshot() Stats {
 		GraphLoadNanos:    m.graphLoadNanos.Load(),
 		RegistryFileLoads: m.registryFileLoads.Load(),
 
-		EpochsCommitted:  m.epochsCommitted.Load(),
-		EpochMergeNanos:  m.epochMergeNanos.Load(),
 		SamplerIdleNanos: m.samplerIdleNanos.Load(),
 
 		GraphPatches:    m.graphPatches.Load(),

@@ -19,7 +19,6 @@ func TestNilMetricsIsSafe(t *testing.T) {
 	m.SetIteration(3, 100, 0.5)
 	m.IncGreedy()
 	m.AddArenaBytes(1 << 20)
-	m.AddPoolWorkers(4)
 	m.WorkerBusy(1)
 	m.RunStarted()
 	m.RunDone()
@@ -102,7 +101,6 @@ func TestMetricsRoundTrip(t *testing.T) {
 	m.IncGreedy()
 	m.AddArenaBytes(2048)
 	m.AddArenaBytes(-48)
-	m.AddPoolWorkers(4)
 	m.WorkerBusy(2)
 	m.WorkerBusy(-1)
 	m.RunStarted()
@@ -117,8 +115,8 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if s.GreedyRuns != 2 || s.ArenaBytes != 2000 {
 		t.Fatalf("greedy/arena = %d/%d", s.GreedyRuns, s.ArenaBytes)
 	}
-	if s.PoolWorkers != 4 || s.BusyWorkers != 1 || s.ActiveRuns != 1 {
-		t.Fatalf("workers/busy/active = %d/%d/%d", s.PoolWorkers, s.BusyWorkers, s.ActiveRuns)
+	if s.BusyWorkers != 1 || s.ActiveRuns != 1 {
+		t.Fatalf("busy/active = %d/%d", s.BusyWorkers, s.ActiveRuns)
 	}
 	if s.SamplesPerSec <= 0 {
 		t.Fatalf("samplesPerSec = %g, want > 0 after committed chunks", s.SamplesPerSec)
@@ -236,7 +234,7 @@ func TestStartProgress(t *testing.T) {
 	m := &Metrics{}
 	m.AddSamples(8192, 5)
 	m.SetIteration(2, 1234.5, 0.71)
-	m.AddPoolWorkers(4)
+	m.WorkerBusy(2)
 
 	var mu sync.Mutex
 	var buf bytes.Buffer
@@ -262,7 +260,7 @@ func TestStartProgress(t *testing.T) {
 	if !strings.Contains(out, "samples=8192") || !strings.Contains(out, "iter=2") {
 		t.Fatalf("progress output %q", out)
 	}
-	if !strings.Contains(out, "eps_sum=0.7100") || !strings.Contains(out, "workers=0/4") {
+	if !strings.Contains(out, "eps_sum=0.7100") || !strings.Contains(out, "busy=2") {
 		t.Fatalf("progress output %q", out)
 	}
 	if !strings.HasSuffix(out, "\n") {

@@ -46,9 +46,9 @@ func StartProgress(w io.Writer, m *Metrics, interval time.Duration) (stop func()
 // the counter inventory in DESIGN.md; the trailing spaces wipe leftovers of
 // a longer previous line when the new one is shorter.
 func writeProgressLine(w io.Writer, s Stats, end byte) {
-	fmt.Fprintf(w, "samples=%d (%.0f/s) iter=%d guess=%.1f eps_sum=%.4f greedy=%d arena=%s workers=%d/%d    %c",
+	fmt.Fprintf(w, "samples=%d (%.0f/s) iter=%d guess=%.1f eps_sum=%.4f greedy=%d arena=%s busy=%d    %c",
 		s.Samples, s.SamplesPerSec, s.Iteration, s.Guess, s.EpsilonSum,
-		s.GreedyRuns, formatBytes(s.ArenaBytes), s.BusyWorkers, s.PoolWorkers, end)
+		s.GreedyRuns, formatBytes(s.ArenaBytes), s.BusyWorkers, end)
 }
 
 // formatBytes renders a byte count with a binary unit suffix.

@@ -105,7 +105,7 @@ func TestParallelForwardSet(t *testing.T) {
 }
 
 // TestParallelWeightedSet pins the Dijkstra sampler's parallel determinism:
-// a weighted set grown through the worker pool at workers ∈ {1, 4} must be
+// a weighted set grown on lanes at workers ∈ {1, 4} must be
 // indistinguishable from a sequential twin, including the reused per-worker
 // heap and backward-walk scratch.
 func TestParallelWeightedSet(t *testing.T) {
@@ -139,7 +139,7 @@ func TestCustomSamplerIgnoresWorkers(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 2, xrand.New(104))
 	seq := NewForwardSet(g, xrand.New(13))
 	seq.GrowTo(400)
-	custom := NewSet(g, seq.sampler, xrand.New(13))
+	custom := NewSet(g, seq.lanes[0].sampler, xrand.New(13))
 	custom.Workers = 8
 	custom.GrowTo(400)
 	if custom.Len() != 400 {

@@ -3,6 +3,7 @@ package sampling
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // TestCancelledPoolResumesBitIdentical cancels a parallel growth mid-flight
-// and then resumes it to the original target: the persistent pool must stay
+// and then resumes it to the original target: the set's lanes must stay
 // reusable, and the final set must be indistinguishable from an
 // uninterrupted run — the ISSUE's contract for fallout paths.
 func TestCancelledPoolResumesBitIdentical(t *testing.T) {
@@ -34,7 +35,7 @@ func TestCancelledPoolResumesBitIdentical(t *testing.T) {
 	if interrupted.Len()%GrowChunk != 0 {
 		t.Fatalf("cancelled set holds a partial chunk: Len = %d", interrupted.Len())
 	}
-	// Resume on the same pool (goroutines, samplers and arenas reused).
+	// Resume on the same lanes (samplers and arenas reused).
 	interrupted.GrowTo(target)
 
 	clean := NewBidirectionalSet(g, xrand.New(22))
@@ -60,7 +61,7 @@ func (f *faultyOnce) Sample(s, t int32, r *xrand.Rand) bfs.Sample {
 
 // TestPanickedPoolStaysReusable injects a one-shot panic into every worker's
 // sampler: the first chunk fails with *PanicError and commits nothing, and
-// the very next growth on the same pool must succeed and match a clean
+// the very next growth on the same lanes must succeed and match a clean
 // bidirectional set exactly (per-index RNG streams make the redraw
 // independent of the aborted attempt).
 func TestPanickedPoolStaysReusable(t *testing.T) {
@@ -77,13 +78,13 @@ func TestPanickedPoolStaysReusable(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("failed chunk partially committed: Len = %d", s.Len())
 	}
-	// Retry on the same pool until every worker's fault is spent (the first
+	// Retry on the same lanes until every lane's fault is spent (the first
 	// panicker aborts the chunk before slower siblings reach their own
 	// trigger, so it can take up to one attempt per worker). Each failed
-	// attempt must keep the set empty and the pool alive.
+	// attempt must keep the set empty and the lanes usable.
 	for attempt := 0; err != nil; attempt++ {
 		if attempt > s.Workers {
-			t.Fatalf("pool still failing after %d attempts: %v", attempt, err)
+			t.Fatalf("lanes still failing after %d attempts: %v", attempt, err)
 		}
 		if !errors.As(err, &pe) {
 			t.Fatalf("attempt %d: err = %v (%T), want *PanicError", attempt, err, err)
@@ -97,6 +98,26 @@ func TestPanickedPoolStaysReusable(t *testing.T) {
 	clean.Workers = 4
 	clean.GrowTo(2000)
 	setsIdentical(t, clean, s)
+}
+
+// TestDroppedSetsLeaveNoGoroutines is the leak regression test: growth
+// joins every goroutine it starts before returning, so dropped sets leave
+// none behind, with no garbage collection or finalizer involved.
+func TestDroppedSetsLeaveNoGoroutines(t *testing.T) {
+	g := gen.BarabasiAlbert(300, 3, xrand.New(41))
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		s := NewBidirectionalSet(g, xrand.New(uint64(42+i)))
+		s.Workers = 2
+		s.GrowTo(GrowChunk)
+	}
+	// A joined goroutine may still be on its way out; yield, don't wait.
+	for i := 0; i < 100 && runtime.NumGoroutine() > baseline; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Fatalf("%d goroutines after dropping 20 grown Workers=2 sets, %d before", n, baseline)
+	}
 }
 
 // TestWarmSequentialGrowthAllocs is the zero-allocation regression guard:
@@ -120,9 +141,9 @@ func TestWarmSequentialGrowthAllocs(t *testing.T) {
 	}
 }
 
-// TestWarmParallelGrowthAllocs pins the parallel steady state too: feeding
-// the persistent pool must not respawn goroutines, samplers or scratch, so
-// a warm chunk stays within a handful of allocations.
+// TestWarmParallelGrowthAllocs pins the parallel steady state too: a chunk
+// must not rebuild samplers or scratch, so its cost stays within a handful
+// of allocations (one per lane goroutine started, plus buffer regrowth).
 func TestWarmParallelGrowthAllocs(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 3, xrand.New(27))
 	s := NewBidirectionalSet(g, xrand.New(28))

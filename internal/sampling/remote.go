@@ -33,7 +33,7 @@ type RemoteGrower interface {
 }
 
 // growRemote draws indices [cur, end) through the attached RemoteGrower
-// and merges the returned blocks in order, mirroring growParallel's
+// and merges the returned blocks in order, mirroring growLocal's
 // commit discipline (AddArenas in block order, bound records appended
 // alongside).
 func (s *Set) growRemote(ctx context.Context, cur, end int) error {
@@ -71,9 +71,9 @@ const drawCheckEvery = 1024
 
 // Drawer draws samples of the per-index RNG stream discipline into
 // caller-owned arenas — the shard-worker side of sharded serving. It wraps
-// the same draw state the Set's own workers use, so a range drawn here is
-// byte-identical to the same range drawn by any local growth mode. A
-// Drawer is single-owner: callers must serialize DrawRange calls.
+// the same draw state the Set's own lanes use, so a range drawn here is
+// byte-identical to the same range drawn by local growth. A Drawer is
+// single-owner: callers must serialize DrawRange calls.
 type Drawer struct {
 	st drawState
 }

@@ -65,9 +65,7 @@ type RepairStats struct {
 // graph.
 //
 // Like growth, Repair is single-owner: it must not race with GrowTo* or
-// queries on the same Set. Uncommitted fast-mode tails are discarded (they
-// re-draw on the patched graph at the next growth); the worker pool and
-// all arena capacity are retained.
+// queries on the same Set. The lanes and all arena capacity are retained.
 func (s *Set) Repair(ng *graph.Graph, delta *graph.Delta) (RepairStats, error) {
 	var st RepairStats
 	if s.samplerFor == nil {
@@ -182,29 +180,13 @@ func multiSourceDist(g *graph.Graph, sources []int32, toSources bool) []int32 {
 	return dist
 }
 
-// rebind points the set and its draw machinery at the patched graph. Pool
-// workers are idle between jobs (Repair is single-owner and every job acks
-// before growth returns), so re-initializing their draw state here is
-// race-free; the ack channel receive that ended the previous job is the
-// happens-before edge.
+// rebind points the set and its lanes at the patched graph. No lane
+// goroutine is running between growths (Repair is single-owner and every
+// chunk joins its goroutines before GrowToCtx returns), so re-initializing
+// the lanes here is race-free.
 func (s *Set) rebind(ng *graph.Graph) {
 	s.g = ng
-	s.sampler = s.samplerFor(ng)
-	if s.seq != nil {
-		s.seq.init(ng.N(), s.seed0, s.seed1, s.samplerFor(ng))
-	}
-	for _, w := range s.pool {
-		w.st.init(ng.N(), s.seed0, s.seed1, s.samplerFor(ng))
-	}
-	// Invalidate the fast partition: carried tails were drawn on the old
-	// graph and committed length may sit mid-stride. Forcing a re-anchor
-	// resets positions and discards the carries; the discarded indices
-	// re-draw on ng at the next fast growth, which is exactly the regrow
-	// semantics.
-	s.fastBase = 0
-	s.fastStride = 0
-	for w := range s.fastCarry {
-		s.fastCarry[w].Reset()
-		s.fastState[w].pos = 0
+	for _, l := range s.lanes {
+		l.init(ng.N(), s.seed0, s.seed1, s.samplerFor(ng))
 	}
 }

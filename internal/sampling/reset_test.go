@@ -84,7 +84,7 @@ func TestResetRegrowsBitIdentically(t *testing.T) {
 }
 
 // TestResetRegrowsWithWorkers: determinism across Reset holds for parallel
-// growth too (the worker pool and arenas are retained by Reset).
+// growth too (the lanes and arenas are retained by Reset).
 func TestResetRegrowsWithWorkers(t *testing.T) {
 	unweighted, _ := resetTestGraphs(t)
 	build := func(r *xrand.Rand) *Set {

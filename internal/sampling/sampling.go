@@ -13,9 +13,9 @@
 // from the same seed.
 //
 // Growth is cancellable: GrowToCtx commits samples in fixed-size chunks and
-// checks its context between chunks (and, with workers, per sample inside a
-// chunk), so even one huge growth request stops promptly when a deadline
-// fires. A cancelled Set is left at a chunk boundary and is
+// checks its context between chunks (and, with several lanes, per sample
+// inside a chunk), so even one huge growth request stops promptly when a
+// deadline fires. A cancelled Set is left at a chunk boundary and is
 // indistinguishable from one grown sequentially to the same length — the
 // partial state stays fully deterministic and usable.
 package sampling
@@ -23,7 +23,7 @@ package sampling
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,9 +39,9 @@ import (
 // milliseconds even on large graphs, large enough to amortize the check.
 const GrowChunk = 4096
 
-// PanicError reports a panic recovered in a sampling worker goroutine. The
-// process is kept alive; the panic surfaces as an ordinary error from
-// GrowToCtx (and from there out of the algorithm that drove the growth).
+// PanicError reports a panic recovered in a sampling lane. The process is
+// kept alive; the panic surfaces as an ordinary error from GrowToCtx (and
+// from there out of the algorithm that drove the growth).
 type PanicError struct {
 	// Value is the value the goroutine panicked with.
 	Value any
@@ -61,11 +61,10 @@ type PairSampler interface {
 
 // Set is a growable set of sampled shortest paths over a fixed graph.
 // It is not safe for concurrent use by multiple goroutines (GrowTo itself
-// may use internal workers; see Workers).
+// may draw on several lanes; see Workers).
 type Set struct {
 	g            *graph.Graph
 	seed0, seed1 uint64
-	sampler      PairSampler
 	newSampler   func() PairSampler // nil when only a shared sampler exists
 	// samplerFor rebuilds the sampler kind over an arbitrary graph; set by
 	// the graph-aware constructors (NewBidirectionalSet & co) and required
@@ -81,61 +80,33 @@ type Set struct {
 	// disqualifies the whole set from repair.
 	obs []int32
 
-	// seq is the sequential draw state (lazily built around the shared
-	// sampler); seqView is its one-element arena list for AddStrided.
-	seq     *drawState
-	seqView []*coverage.PathArena
+	// lanes holds the per-worker draw states (see lane.go); lanes[0] wraps
+	// the sampler the set was built with and draws on the calling
+	// goroutine. arenas aliases their arenas in lane order. stop is the
+	// shared chunk-abort flag and wg joins the chunk's lane goroutines.
+	lanes  []*lane
+	arenas []*coverage.PathArena
+	stop   atomic.Bool
+	wg     sync.WaitGroup
 
-	// pool holds the persistent parallel workers (see pool.go); poolArenas
-	// aliases their arenas in worker order. stop is the shared chunk-abort
-	// flag, reused across chunks so dispatching a job allocates nothing.
-	pool       []*poolWorker
-	poolArenas []*coverage.PathArena
-	stop       atomic.Bool
-
-	// EWMA share sizing for the deterministic parallel path: ewmaCost[w] is
-	// worker w's smoothed draw cost (ns/sample, 0 = no history yet), and
-	// shareEnd/speed/ackBuf are reused scratch. Share boundaries only decide
-	// which worker draws which contiguous index block — sample content is a
-	// pure function of the index and blocks merge in index order — so the
-	// committed result is bit-identical for every timing and share split.
-	ewmaCost []float64
+	// shareEnd is reused scratch for EWMA share sizing. Share boundaries
+	// only decide which lane draws which contiguous index block — sample
+	// content is a pure function of the index and blocks merge in index
+	// order — so the committed result is bit-identical for every timing
+	// and share split.
 	shareEnd []int
-	speed    []float64
-	ackBuf   []ackMsg
 
-	// Fast-mode coordinator state (see growFast): per-worker frame cycles
-	// and carry arenas holding uncommitted sample tails, the shared
-	// completed-frame and ack channels, and the index-space partition
-	// anchor (worker w of a partition draws global indices
-	// fastBase + w + k·fastStride).
-	fastState  []*fastWorkerState
-	fastCarry  []coverage.PathArena
-	fastViews  []*coverage.PathArena
-	viewBuf    []coverage.PathArena
-	fastFull   chan *fastFrame
-	fastAcks   chan ackMsg
-	fastBase   int
-	fastStride int // 0 until the first fast growth anchors a partition
-
-	// Workers sets the number of goroutines used by GrowTo. Values < 2, or
-	// a Set built around a caller-supplied single sampler, sample
-	// sequentially. The result is identical either way.
+	// Workers sets the number of lanes GrowTo draws on. Values < 2, or a
+	// Set built around a caller-supplied single sampler, draw on the
+	// calling goroutine alone. The result is identical either way.
 	Workers int
-
-	// Mode selects the growth execution mode: Deterministic (default,
-	// bit-exact lock-step chunks) or Fast (free-running workers with epoch
-	// merges; statistically equivalent but not bit-reproducible). A Set
-	// without per-worker samplers (NewSet) always grows sequentially and
-	// deterministically regardless of Mode.
-	Mode Mode
 
 	// Remote, when non-nil, delegates all sample drawing to an external
 	// grower (the shard coordinator of sharded serving) and takes
-	// precedence over Workers and Mode: growth proceeds in the same
-	// deterministic chunks, but each chunk's range is drawn by the grower
-	// and merged in index order, so the committed state is bit-identical
-	// to any local growth mode of the same length.
+	// precedence over Workers: growth proceeds in the same deterministic
+	// chunks, but each chunk's range is drawn by the grower and merged in
+	// index order, so the committed state is bit-identical to local growth
+	// of the same length.
 	Remote RemoteGrower
 
 	// Unreachable counts null samples (pairs with no path).
@@ -144,7 +115,7 @@ type Set struct {
 	// Label names this set in growth events and metrics ("S", "T", ...).
 	Label string
 	// Metrics, when non-nil, receives atomic counter updates (committed
-	// samples, arena footprint, pool gauges). Nil — the default — costs
+	// samples, arena footprint, busy lanes). Nil — the default — costs
 	// only nil checks on the growth path, preserving the warm-growth
 	// allocation budgets.
 	Metrics *obs.Metrics
@@ -161,26 +132,23 @@ type Set struct {
 }
 
 // NewSet returns an empty sample set around a caller-supplied sampler,
-// seeded from r. Such a set always grows sequentially; use
+// seeded from r. Such a set always grows on one lane; use
 // NewBidirectionalSet, NewForwardSet or NewFactorySet for parallel growth.
 func NewSet(g *graph.Graph, sampler PairSampler, r *xrand.Rand) *Set {
-	s := newSet(g, r)
-	s.sampler = sampler
-	return s
+	return newSet(g, r, sampler)
 }
 
 // NewFactorySet returns an empty sample set that builds one sampler per
-// worker with factory, enabling parallel growth with a caller-supplied
+// lane with factory, enabling parallel growth with a caller-supplied
 // sampler type.
 func NewFactorySet(g *graph.Graph, factory func() PairSampler, r *xrand.Rand) *Set {
-	s := newSet(g, r)
+	s := newSet(g, r, factory())
 	s.newSampler = factory
-	s.sampler = factory()
 	return s
 }
 
 // NewBidirectionalSet is the common construction: a Set backed by balanced
-// bidirectional BFS samplers (one per worker).
+// bidirectional BFS samplers (one per lane).
 func NewBidirectionalSet(g *graph.Graph, r *xrand.Rand) *Set {
 	return newGraphFactorySet(g, r, func(g *graph.Graph) PairSampler { return bfs.NewBidirectional(g) })
 }
@@ -202,12 +170,11 @@ func NewWeightedSet(g *graph.Graph, r *xrand.Rand) *Set {
 // newGraphFactorySet is NewFactorySet with a graph-parameterized factory,
 // which additionally enables Repair: the set can rebuild its sampler kind
 // over a patched graph. The newSampler closure reads s.g at call time, so
-// pool workers spawned after a Repair sample the rebound graph.
+// lanes added after a Repair sample the rebound graph.
 func newGraphFactorySet(g *graph.Graph, r *xrand.Rand, factory func(*graph.Graph) PairSampler) *Set {
-	s := newSet(g, r)
+	s := newSet(g, r, factory(g))
 	s.samplerFor = factory
 	s.newSampler = func() PairSampler { return factory(s.g) }
-	s.sampler = factory(g)
 	return s
 }
 
@@ -220,68 +187,68 @@ func NewSetFor(g *graph.Graph, r *xrand.Rand) *Set {
 	return NewBidirectionalSet(g, r)
 }
 
-func newSet(g *graph.Graph, r *xrand.Rand) *Set {
+// newSet builds an empty set whose lane 0 draws with sampler.
+func newSet(g *graph.Graph, r *xrand.Rand, sampler PairSampler) *Set {
 	if g.N() < 2 {
 		// Internal invariant: core.Options.validate and the gbc package
 		// reject graphs with fewer than two nodes before building a Set.
 		panic("sampling: graph needs at least two nodes")
 	}
-	return &Set{g: g, seed0: r.Uint64(), seed1: r.Uint64(), cov: coverage.New(g.N())}
+	s := &Set{g: g, seed0: r.Uint64(), seed1: r.Uint64(), cov: coverage.New(g.N())}
+	s.addLane(sampler)
+	return s
+}
+
+// addLane appends a lane drawing with sampler. Lanes are only ever added —
+// lowering Workers just leaves the extra ones idle.
+func (s *Set) addLane(sampler PairSampler) {
+	l := &lane{}
+	l.init(s.g.N(), s.seed0, s.seed1, sampler)
+	s.lanes = append(s.lanes, l)
+	s.arenas = append(s.arenas, &l.arena)
 }
 
 // Len returns the number of samples drawn so far (null samples included).
 func (s *Set) Len() int { return s.cov.Len() }
 
 // GrowTo samples additional shortest paths until Len() == L.
-// Growing to a smaller or equal L is a no-op. A worker panic is re-raised
-// on the calling goroutine; use GrowToCtx to receive it as an error.
+// Growing to a smaller or equal L is a no-op. A lane panic is re-raised on
+// the calling goroutine; use GrowToCtx to receive it as an error.
 func (s *Set) GrowTo(L int) {
 	if err := s.GrowToCtx(context.Background(), L); err != nil {
 		// The background context never cancels, so err can only be a
-		// recovered worker panic — re-raise it, preserving old behavior.
+		// recovered lane panic — re-raise it, preserving old behavior.
 		panic(err)
 	}
 }
 
 // GrowToCtx is GrowTo with cancellation: samples are drawn and committed in
-// chunks of GrowChunk, and the context is checked between chunks (parallel
-// workers additionally check it per sample). On cancellation the Set keeps
+// chunks of GrowChunk, and the context is checked between chunks (several
+// lanes additionally check it per sample). On cancellation the Set keeps
 // every fully committed chunk — a deterministic prefix identical to a
-// sequential run of the same length — and ctx.Err() is returned. A panic in
-// a worker goroutine is recovered and returned as a *PanicError instead of
-// crashing the process; sibling workers stop promptly.
+// one-lane run of the same length — and ctx.Err() is returned. A panic
+// while drawing is recovered and returned as a *PanicError instead of
+// crashing the process; sibling lanes stop promptly. Every goroutine
+// GrowToCtx starts has exited by the time it returns.
 func (s *Set) GrowToCtx(ctx context.Context, L int) error {
 	cur := s.cov.Len()
 	if L <= cur {
 		return nil
 	}
-	if s.Mode == Fast && s.newSampler != nil && s.Remote == nil {
-		return s.growFast(ctx, L)
-	}
-	workers := 1
-	if s.Workers > 1 && s.newSampler != nil {
-		workers = s.Workers
-	}
 	for cur < L {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := cur + GrowChunk
-		if end > L {
-			end = L
-		}
+		end := min(cur+GrowChunk, L)
 		nullsBefore := s.Unreachable
-		switch {
-		case s.Remote != nil:
-			if err := s.growRemote(ctx, cur, end); err != nil {
-				return err
-			}
-		case workers > 1:
-			if err := s.growParallel(ctx, cur, end, workers); err != nil {
-				return err
-			}
-		default:
-			s.growSequential(cur, end)
+		var err error
+		if s.Remote != nil {
+			err = s.growRemote(ctx, cur, end)
+		} else {
+			err = s.growLocal(ctx, cur, end)
+		}
+		if err != nil {
+			return err
 		}
 		s.Metrics.AddSamples(end-cur, s.Unreachable-nullsBefore)
 		if s.Observer != nil {
@@ -303,31 +270,7 @@ func (s *Set) GrowToCtx(ctx context.Context, L int) error {
 	// leaves the same state the next query's self-commit would build.
 	s.cov.Commit()
 	s.updateArenaGauge()
-	// The pool finalizer only runs once the Set is unreachable, so it can
-	// never close the job channels under a live growth; keep the receiver
-	// pinned to the end of the call to make that explicit.
-	runtime.KeepAlive(s)
 	return nil
-}
-
-// growSequential draws indices [cur, end) on the calling goroutine into the
-// reused sequential arena, then bulk-appends them into the coverage arena.
-// Warm growth allocates nothing: the RNG is one reseeded value, paths are
-// appended into arenas that keep their capacity, and the samplers' O(n)
-// workspaces persist on the Set.
-func (s *Set) growSequential(cur, end int) {
-	if s.seq == nil {
-		s.seq = &drawState{}
-		s.seq.init(s.g.N(), s.seed0, s.seed1, s.sampler)
-		s.seqView = []*coverage.PathArena{&s.seq.arena}
-	}
-	st := s.seq
-	st.arena.Reset()
-	for i := cur; i < end; i++ {
-		st.draw(i)
-	}
-	s.Unreachable += s.cov.AddStrided(s.seqView, end-cur)
-	s.obs = append(s.obs, st.arena.Obs...)
 }
 
 // updateArenaGauge reports the coverage engine's footprint change since the
@@ -342,188 +285,157 @@ func (s *Set) updateArenaGauge() {
 	s.lastFootprint = fp
 }
 
-// growParallel draws indices [cur, end) across the persistent worker pool —
-// worker w takes one contiguous block of the range, sized by its smoothed
-// draw-cost EWMA so a straggling worker gets a smaller share instead of
-// idling its siblings at the chunk barrier — and then bulk-appends the
-// worker arenas into the coverage arena in worker (= index) order, matching
-// the sequential result exactly (each index's RNG stream depends only on
-// the index, so who draws it never matters). The chunk commits
-// all-or-nothing: on cancellation or a worker panic nothing is appended and
-// every worker's arena is reset at its next job, so the pool stays reusable
-// and the Set never holds a partially drawn chunk.
-func (s *Set) growParallel(ctx context.Context, cur, end, workers int) error {
-	s.ensurePool(workers)
+// growLocal draws indices [cur, end) on Workers lanes (one for a set
+// without a sampler factory) — lane w takes one contiguous block of the
+// range, sized by its smoothed draw-cost EWMA so a straggling lane gets a
+// smaller share instead of idling its siblings at the chunk barrier — and
+// then bulk-appends the lane arenas into the coverage arena in lane
+// (= index) order, matching a one-lane growth exactly (each index's RNG
+// stream depends only on the index, so who draws it never matters). Lane 0
+// runs on the calling goroutine, the others on goroutines joined before
+// anything commits. The chunk commits all-or-nothing: when a lane stops
+// early on cancellation or a panic nothing is appended and each lane
+// resets its arena at its next share, so the Set never holds a partially
+// drawn chunk.
+func (s *Set) growLocal(ctx context.Context, cur, end int) error {
+	lanes := 1
+	if s.Workers > 1 && s.newSampler != nil {
+		lanes = s.Workers
+	}
+	for len(s.lanes) < lanes {
+		s.addLane(s.newSampler())
+	}
 	count := end - cur
-	s.stop.Store(false)
+	shares := s.sizeShares(count, lanes)
 	done := ctx.Done()
-	shares := s.sizeShares(count, workers)
-	for w := 0; w < workers; w++ {
-		s.pool[w].jobs <- growJob{
-			cur: cur + shares[w], count: shares[w+1] - shares[w],
-			first: 0, stride: 1,
-			done: done, stop: &s.stop, metrics: s.Metrics,
+	if lanes == 1 {
+		// A lone lane finishes its chunk, as sequential growth always has:
+		// the chunk still commits under a deadline, so a run cut short in
+		// its first chunk keeps a partial result, and growth stops at the
+		// next chunk boundary.
+		done = nil
+	}
+	s.stop.Store(false)
+	for w := 1; w < lanes; w++ {
+		s.wg.Add(1)
+		go s.runLane(w, cur+shares[w], cur+shares[w+1], done)
+	}
+	s.lanes[0].run(cur, cur+shares[1], done, &s.stop, s.Metrics)
+	s.wg.Wait()
+	active := s.lanes[:lanes]
+	for _, l := range active {
+		if l.pe != nil {
+			return l.pe
 		}
 	}
-	var pe *PanicError
-	for w := 0; w < workers; w++ {
-		a := <-s.pool[w].ack
-		s.ackBuf[w] = a
-		if a.pe != nil && pe == nil {
-			pe = a.pe
-		}
-	}
-	if pe != nil {
-		return pe
-	}
-	if err := ctx.Err(); err != nil {
-		return err
+	if s.stop.Load() {
+		// A lane saw done close and quit its share early.
+		return ctx.Err()
 	}
 	if s.Metrics != nil {
-		// Barrier waste: how long finished workers sat idle waiting for
-		// the chunk's straggler.
+		// Barrier waste: how long finished lanes sat idle waiting for the
+		// chunk's straggler.
 		var last time.Time
-		for w := 0; w < workers; w++ {
-			if s.ackBuf[w].done.After(last) {
-				last = s.ackBuf[w].done
+		for _, l := range active {
+			if l.done.After(last) {
+				last = l.done
 			}
 		}
 		var idle int64
-		for w := 0; w < workers; w++ {
-			idle += last.Sub(s.ackBuf[w].done).Nanoseconds()
+		for _, l := range active {
+			idle += last.Sub(l.done).Nanoseconds()
 		}
 		s.Metrics.AddSamplerIdle(idle)
 	}
-	for w := 0; w < workers; w++ {
+	for w, l := range active {
 		n := shares[w+1] - shares[w]
 		if n <= 0 {
 			continue
 		}
-		busy := s.ackBuf[w].done.Sub(s.ackBuf[w].start).Nanoseconds()
-		if busy < 1 {
-			busy = 1
-		}
+		busy := max(l.done.Sub(l.start).Nanoseconds(), 1)
 		cost := float64(busy) / float64(n)
-		if s.ewmaCost[w] == 0 {
-			s.ewmaCost[w] = cost
+		if l.cost == 0 {
+			l.cost = cost
 		} else {
-			s.ewmaCost[w] = 0.7*s.ewmaCost[w] + 0.3*cost
+			l.cost = 0.7*l.cost + 0.3*cost
 		}
 	}
-	s.Unreachable += s.cov.AddArenas(s.poolArenas[:workers])
-	// Worker w drew one contiguous index block, so concatenating the
-	// arenas' bound records in worker order preserves index order.
-	for w := 0; w < workers; w++ {
-		s.obs = append(s.obs, s.poolArenas[w].Obs...)
+	s.Unreachable += s.cov.AddArenas(s.arenas[:lanes])
+	// Lane w drew one contiguous index block, so concatenating the arenas'
+	// bound records in lane order preserves index order.
+	for _, a := range s.arenas[:lanes] {
+		s.obs = append(s.obs, a.Obs...)
 	}
 	return nil
 }
 
-// sizeShares fills s.shareEnd with workers+1 cumulative block boundaries
-// over a count-sample chunk, proportional to each worker's smoothed speed
-// (1/ewmaCost). With no timing history shares are equal. Speeds are floored
-// at 1/8 of the fastest so a transient stall (GC pause, noisy neighbor)
-// can't starve a worker out of future measurements, and boundaries come
-// from cumulative proportions, so they are monotone and sum exactly.
-func (s *Set) sizeShares(count, workers int) []int {
-	if cap(s.shareEnd) < workers+1 {
-		s.shareEnd = make([]int, workers+1)
-		s.speed = make([]float64, workers)
+// runLane is the body of a lane goroutine started by growLocal.
+func (s *Set) runLane(w, lo, hi int, done <-chan struct{}) {
+	defer s.wg.Done()
+	s.lanes[w].run(lo, hi, done, &s.stop, s.Metrics)
+}
+
+// sizeShares fills s.shareEnd with lanes+1 cumulative block boundaries over
+// a count-sample chunk, proportional to each lane's smoothed speed
+// (1/cost). With no timing history shares are equal. Speeds are floored at
+// 1/8 of the fastest so a transient stall (GC pause, noisy neighbor) can't
+// starve a lane out of future measurements, and boundaries come from
+// cumulative proportions, so they are monotone and sum exactly.
+func (s *Set) sizeShares(count, lanes int) []int {
+	if cap(s.shareEnd) < lanes+1 {
+		s.shareEnd = make([]int, lanes+1)
 	}
-	s.shareEnd = s.shareEnd[:workers+1]
-	s.speed = s.speed[:workers]
+	s.shareEnd = s.shareEnd[:lanes+1]
 	known, sum := 0, 0.0
-	for w := 0; w < workers; w++ {
-		s.speed[w] = 0
-		if c := s.ewmaCost[w]; c > 0 {
-			s.speed[w] = 1 / c
+	for _, l := range s.lanes[:lanes] {
+		if l.cost > 0 {
 			known++
-			sum += s.speed[w]
+			sum += 1 / l.cost
 		}
 	}
 	if known == 0 {
-		for w := 0; w <= workers; w++ {
-			s.shareEnd[w] = w * count / workers
+		for w := 0; w <= lanes; w++ {
+			s.shareEnd[w] = w * count / lanes
 		}
 		return s.shareEnd
 	}
 	mean := sum / float64(known)
+	speed := func(l *lane) float64 {
+		if l.cost > 0 {
+			return 1 / l.cost
+		}
+		return mean
+	}
 	maxSp := 0.0
-	for w := range s.speed {
-		if s.speed[w] == 0 {
-			s.speed[w] = mean
-		}
-		if s.speed[w] > maxSp {
-			maxSp = s.speed[w]
-		}
+	for _, l := range s.lanes[:lanes] {
+		maxSp = max(maxSp, speed(l))
 	}
 	floor := maxSp / 8
 	total := 0.0
-	for w := range s.speed {
-		if s.speed[w] < floor {
-			s.speed[w] = floor
-		}
-		total += s.speed[w]
+	for _, l := range s.lanes[:lanes] {
+		total += max(speed(l), floor)
 	}
 	s.shareEnd[0] = 0
 	acc := 0.0
-	for w := 0; w < workers; w++ {
-		acc += s.speed[w]
+	for w, l := range s.lanes[:lanes] {
+		acc += max(speed(l), floor)
 		s.shareEnd[w+1] = int(float64(count) * acc / total)
 	}
-	s.shareEnd[workers] = count
+	s.shareEnd[lanes] = count
 	return s.shareEnd
 }
 
-// ensurePool grows the persistent pool to at least `workers` goroutines.
-// Workers are only ever added — shrinking Workers just idles the extra ones
-// — and each owns its sampler, RNG and arena for the Set's whole lifetime.
-// The first call arms a finalizer that closes the job channels when the Set
-// becomes unreachable, letting the goroutines exit.
-func (s *Set) ensurePool(workers int) {
-	if len(s.pool) >= workers {
-		return
-	}
-	if s.pool == nil {
-		runtime.SetFinalizer(s, func(s *Set) {
-			for _, w := range s.pool {
-				close(w.jobs)
-			}
-			s.Metrics.AddPoolWorkers(-len(s.pool))
-		})
-	}
-	for len(s.pool) < workers {
-		w := &poolWorker{
-			jobs: make(chan growJob),
-			ack:  make(chan ackMsg, 1),
-		}
-		w.st.init(s.g.N(), s.seed0, s.seed1, s.newSampler())
-		s.pool = append(s.pool, w)
-		s.poolArenas = append(s.poolArenas, &w.st.arena)
-		s.ewmaCost = append(s.ewmaCost, 0)
-		s.ackBuf = append(s.ackBuf, ackMsg{})
-		s.Metrics.AddPoolWorkers(1)
-		go w.loop()
-	}
-}
-
 // Reset empties the set — Len and Unreachable return to zero — while
-// keeping the graph, per-index seeds, samplers, persistent worker pool and
-// all arena capacity, so the next GrowTo* regrows on the warm
-// allocation-free path. Every sample index draws from its own RNG stream
-// derived only from the set's seeds, so a reset set regrown to L is
-// bit-identical to a fresh set grown to L: the serving layer's graph
-// registry uses this to reuse one warm Set across requests while keeping
-// responses deterministic.
+// keeping the graph, per-index seeds, lanes and all arena capacity, so the
+// next GrowTo* regrows on the warm allocation-free path. Every sample index
+// draws from its own RNG stream derived only from the set's seeds, so a
+// reset set regrown to L is bit-identical to a fresh set grown to L: the
+// serving layer's graph registry uses this to reuse one warm Set across
+// requests while keeping responses deterministic.
 func (s *Set) Reset() {
 	s.cov.Reset()
 	s.obs = s.obs[:0]
 	s.Unreachable = 0
-	// Drop the fast partition anchor: the next fast growth re-anchors at
-	// length zero, clearing carried tails and position counters, so a reset
-	// set regrows from a clean index space in either mode.
-	s.fastBase = 0
-	s.fastStride = 0
 }
 
 // Coverage exposes the underlying max-coverage instance (for greedy).

@@ -41,8 +41,7 @@ import (
 //   - the overload accounting balances exactly
 //     (admitted == completed + shed + failed, degraded ⊆ shed);
 //   - nothing wedges: queue empty, no busy workers or active runs, and
-//     goroutines return to baseline (plus the registry's finalizer-reaped
-//     sampler pools).
+//     goroutines return to baseline.
 //
 // Run under -race for the full effect (make chaos does).
 func TestChaos(t *testing.T) {
@@ -285,12 +284,12 @@ func TestChaos(t *testing.T) {
 			st.QueueDepth, st.ActiveRuns, st.BusyWorkers)
 	}
 
-	// Goroutine accounting: registry entries keep warm sampler pools alive
-	// until their finalizers run, so PoolWorkers is legitimate slack; a few
-	// more for the HTTP machinery winding down. Anything beyond that is a
-	// leak (a wedged scheduler worker or an unacked sampler chunk).
+	// Goroutine accounting: sample growth joins its lane goroutines before
+	// returning, so only a few for the HTTP machinery winding down are
+	// slack. Anything beyond that is a leak (a wedged scheduler worker or
+	// an unjoined sampling lane).
 	waitFor(t, "goroutines to settle", func() bool {
-		return int64(runtime.NumGoroutine()) <= int64(baseline)+m.Snapshot().PoolWorkers+10
+		return runtime.NumGoroutine() <= baseline+10
 	})
 	t.Logf("chaos: %d requests, stats %+v", requests, st)
 }

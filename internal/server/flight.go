@@ -10,10 +10,11 @@ import (
 // flightKey identifies requests that must coalesce: everything that
 // changes the computed answer, including the graph version observed at
 // admission — a request racing ahead of a PATCH and one landing after it
-// must not share a run. Deadlines are deliberately excluded — the
-// leader's deadline governs the shared run, so a follower may receive a
-// partial result earlier than its own deadline required; identical load
-// spikes are exactly when that trade is worth it.
+// must not share a run. The worker count is excluded because sample
+// growth is bit-identical at every worker count. Deadlines are
+// deliberately excluded — the leader's deadline governs the shared run, so
+// a follower may receive a partial result earlier than its own deadline
+// required; identical load spikes are exactly when that trade is worth it.
 type flightKey struct {
 	graph     string
 	version   int
@@ -22,8 +23,6 @@ type flightKey struct {
 	epsilon   float64
 	gamma     float64
 	seed      uint64
-	workers   int
-	sampling  core.SamplingMode
 	forward   bool
 	trace     bool
 }

@@ -27,8 +27,8 @@ import (
 
 // Registry holds named resident graphs, LRU-bounded. Each entry owns the
 // warm sampling.Sets of past runs so a repeated query regrows its samples
-// on the zero-allocation path (persistent worker pool, retained arenas)
-// instead of cold-starting. Evicting a graph drops its warm sets with it.
+// on the zero-allocation path (retained lanes and arenas) instead of
+// cold-starting. Evicting a graph drops its warm sets with it.
 type Registry struct {
 	mu      sync.Mutex
 	cap     int
@@ -178,15 +178,14 @@ type Entry struct {
 // resultKey identifies the family of runs a completed result can stand in
 // for under the ε-dominance rule: everything answer-determining except ε
 // itself, including the graph version the run observed — a result computed
-// on an older version never answers a request against a newer one. A run
-// completed at ε' dominates any request at ε ≥ ε' with the same key — the
-// looser request would have accepted the tighter answer.
+// on an older version never answers a request against a newer one. The
+// worker count is not part of it: growth is bit-identical at every worker
+// count. A run completed at ε' dominates any request at ε ≥ ε' with the
+// same key — the looser request would have accepted the tighter answer.
 type resultKey struct {
 	algorithm core.Algorithm
 	k         int
 	seed      uint64
-	workers   int
-	sampling  core.SamplingMode
 	forward   bool
 	version   int
 }
@@ -526,7 +525,7 @@ func (e *Entry) deltaChain(from, to int) (*graph.Delta, bool) {
 // prepareWarm rebinds a warm-set family to the version the solve is about
 // to run on. Sets left behind by a patch are repaired forward through the
 // recorded delta chain — only samples whose observation region a delta
-// touched are re-drawn, the arenas and worker pools are retained — or,
+// touched are re-drawn, the arenas and sampling lanes are retained — or,
 // when the chain is pruned or a set does not support repair (weighted
 // Dijkstra sampling, pre-bound growth), dropped to rebuild cold inside
 // the solve. Called under e.mu.
@@ -569,7 +568,7 @@ func (e *Entry) prepareWarm(ws *warmSets, v *version, metrics *obs.Metrics) {
 // When the configuration is cacheable the entry's warm sample sets are
 // reused: a warm set is repaired forward if a patch moved the graph since
 // it last ran (see prepareWarm), then Reset — its samples regrow from
-// index 0 on the retained arenas and worker pool, so the response is
+// index 0 on the retained arenas and sampling lanes, so the response is
 // bit-identical to a cold run on the same version while skipping all
 // steady-state allocation. metrics counts a RegistryHit per reused set
 // and a RegistryMiss per fresh construction.

@@ -67,12 +67,6 @@ type Config struct {
 	// (default 1 each): a tenant with weight w is dequeued w tasks per
 	// round-robin cycle.
 	TenantWeights map[string]int
-	// DefaultSampling is the growth execution mode applied to /v1/topk
-	// requests that name none. The zero value is deterministic (bit-exact
-	// responses); cmd/gbcd flips the default to fast, which trades
-	// bit-reproducibility for multicore sampling throughput while keeping
-	// the ε guarantee.
-	DefaultSampling core.SamplingMode
 	// Shards lists shard-worker base URLs; non-empty makes this server a
 	// coordinator. Graphs registered from a .gbcsr path dispatch sample
 	// growth to the workers (which open the same path from shared storage)
@@ -571,10 +565,9 @@ type topkRequest struct {
 	Gamma     float64 `json:"gamma,omitempty"`
 	Seed      uint64  `json:"seed,omitempty"`
 	Workers   int     `json:"workers,omitempty"`
-	// Sampling selects the growth execution mode, "deterministic" or
-	// "fast"; empty picks the server's default. Deterministic responses are
-	// bit-reproducible; fast responses satisfy the same ε guarantee with
-	// better multicore scaling but scheduling-dependent sample counts.
+	// Sampling names the growth execution mode. The only mode is
+	// "deterministic" (also the default when empty); "fast" is accepted as
+	// a deprecated alias for one release and answered deterministically.
 	Sampling string `json:"sampling,omitempty"`
 	// Forward swaps the balanced bidirectional sampler for the forward-only
 	// ablation.
@@ -636,13 +629,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	mode := s.cfg.DefaultSampling
-	if req.Sampling != "" {
-		var err error
-		if mode, err = core.ParseSamplingMode(req.Sampling); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error(), "sampling")
-			return
-		}
+	switch req.Sampling {
+	case "", "deterministic", "fast":
+	default:
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("unknown sampling mode %q (want deterministic)", req.Sampling), "sampling")
+		return
 	}
 	switch req.Freshness {
 	case "", "any", "exact":
@@ -653,7 +645,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := core.Options{
 		Algorithm: alg, K: req.K, Epsilon: req.Epsilon, Gamma: req.Gamma,
-		Seed: req.Seed, Workers: req.Workers, Sampling: mode,
+		Seed: req.Seed, Workers: req.Workers,
 		CollectTrace:      req.Trace,
 		UseForwardSampler: req.Forward, Metrics: s.metrics,
 	}
@@ -725,8 +717,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	key := flightKey{
 		graph: req.Graph, version: ver, algorithm: alg, k: req.K,
 		epsilon: req.Epsilon, gamma: req.Gamma, seed: req.Seed,
-		workers: req.Workers, sampling: mode, forward: req.Forward,
-		trace: req.Trace,
+		forward: req.Forward, trace: req.Trace,
 	}
 	res, shared := s.flight.do(key, s.metrics, func() flightResult {
 		return s.runTopK(entry, opts, timeout, req.Graph, Job{
@@ -776,7 +767,6 @@ func resultKeyFor(opts core.Options, version int) resultKey {
 	}
 	return resultKey{
 		algorithm: opts.Algorithm, k: opts.K, seed: seed,
-		workers: opts.Workers, sampling: opts.Sampling,
 		forward: opts.UseForwardSampler, version: version,
 	}
 }
@@ -845,7 +835,6 @@ func (s *Server) runTopK(entry *Entry, opts core.Options, timeout time.Duration,
 		return flightResult{errBody: body, status: http.StatusGatewayTimeout}
 	}
 	wres := wire.FromResult(opts.Algorithm, opts.K, res, nil)
-	wres.SamplingMode = opts.Sampling
 	if res.StopReason == core.StopConverged {
 		// Keyed under the version the solve actually observed — a patch
 		// landing between admission and solve must not poison the new

@@ -53,11 +53,11 @@ type Result struct {
 	StopReason core.StopReason `json:"stopReason"`
 	// ElapsedMillis is the solver's wall-clock time in milliseconds.
 	ElapsedMillis float64 `json:"elapsedMillis"`
-	// SamplingMode names the growth execution mode of the run
-	// ("deterministic" or "fast"). Deterministic runs are bit-reproducible
-	// for a given (graph, algorithm, k, seed); fast runs satisfy the same ε
-	// guarantee but stop at scheduling-dependent sample counts.
-	SamplingMode core.SamplingMode `json:"samplingMode"`
+	// SamplingMode names the growth execution mode of the run. It is
+	// always "deterministic": a run is bit-reproducible for a given (graph,
+	// algorithm, k, seed) at any worker count. The key is kept for
+	// consumers written against the removed "fast" mode.
+	SamplingMode string `json:"samplingMode"`
 	// Trace summarizes the outer iterations when the run collected one.
 	Trace []TraceEntry `json:"trace,omitempty"`
 }
@@ -119,6 +119,7 @@ func FromResult(alg core.Algorithm, k int, res *core.Result, label func(int32) i
 		Partial:            res.StopReason != core.StopConverged,
 		StopReason:         res.StopReason,
 		ElapsedMillis:      float64(res.Elapsed.Microseconds()) / 1000,
+		SamplingMode:       "deterministic",
 	}
 	for _, it := range res.Trace {
 		e := TraceEntry{

@@ -62,7 +62,7 @@ func TestStableFieldNames(t *testing.T) {
 		"algorithm", "k", "group", "estimate", "normalizedEstimate",
 		"biasedEstimate", "samples", "samplesOptimize", "samplesValidate",
 		"iterations", "converged", "partial", "stopReason", "elapsedMillis",
-		"trace",
+		"samplingMode", "trace",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("wire key %q missing from %s", key, data)
@@ -73,6 +73,9 @@ func TestStableFieldNames(t *testing.T) {
 	}
 	if m["stopReason"] != "Converged" {
 		t.Errorf("stopReason must travel as its name, got %v", m["stopReason"])
+	}
+	if m["samplingMode"] != "deterministic" {
+		t.Errorf("samplingMode must read deterministic, got %v", m["samplingMode"])
 	}
 }
 

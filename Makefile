@@ -19,9 +19,11 @@ test:
 
 # Race-detector pass over every package; includes the parallel-growth →
 # arena-commit path (sampling's TestParallelGrowGreedyRegrowCycles and
-# friends drive multi-worker growth into the flat coverage engine).
+# friends drive multi-worker growth into the flat coverage engine). The
+# sample-family concurrency tests then run ten more times.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestFamily|TestFlightGroupCoalesces' ./internal/server
 
 # Chaos pass: the fault-injection build (-tags faultinject) with every
 # injection point armed, hammering a live server under -race. The default
@@ -44,8 +46,8 @@ govulncheck:
 	else echo "govulncheck: not installed, skipping"; fi
 
 # End-to-end smoke test of the gbcd daemon: build, serve on a random port,
-# upload a generated graph, query top-K, assert the JSON shape and warm
-# registry reuse, drain on SIGTERM.
+# upload a generated graph, query top-K, assert the JSON shape, sample
+# family reuse and memo answers, drain on SIGTERM.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
@@ -70,12 +72,15 @@ shard-smoke:
 patch-smoke:
 	sh scripts/patch_smoke.sh
 
-# Short smoke run of the graph input fuzzers (native Go fuzzing): the two
-# edge-list parsers and the binary .gbcsr decoder.
+# Short smoke run of the untrusted-input fuzzers (native Go fuzzing): the
+# two edge-list parsers, the binary .gbcsr decoder, the shard payload
+# decoder and the shard worker's epoch request body.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadEdgeList$$ -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzReadWeightedEdgeList -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzDecodeCSR -fuzztime 10s ./internal/graph
+	$(GO) test -run xxx -fuzz FuzzDecodeArenaPayload -fuzztime 10s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzWorkerEpoch -fuzztime 10s ./internal/shard
 
 cover:
 	$(GO) test -cover ./...

@@ -1,13 +1,17 @@
 // Command gbcd serves top-K group betweenness centrality over HTTP/JSON.
 //
-// It keeps named graphs resident in an LRU registry (each with its warm
-// sampling state, so repeated queries regrow samples allocation-free),
-// bounds solver concurrency with a FIFO-queued worker pool, and coalesces
-// identical concurrent queries into a single run. Graphs are versioned:
-// PATCH applies an edge delta as a new immutable version (optionally
-// guarded by ifVersion), converged results are cached and reused across
-// identical or ε-dominated repeats on the same version, and responses say
-// how they were produced (servedFrom: solve | cache | coalesced).
+// It keeps named graphs resident in an LRU registry and bounds solver
+// concurrency with a FIFO-queued worker pool. Each graph keeps one sample
+// family per seed it has served: the family stores the samples its runs
+// drew, so a later query on the same (graph, seed) — any K, ε or
+// algorithm — draws only the samples no earlier run drew; it memoizes
+// converged answers, which answer identical or ε-dominated repeats on the
+// same version; and identical concurrent queries wait on its in-flight
+// run. All families share one byte budget (-sample-bytes, LRU eviction).
+// Graphs are versioned: PATCH applies an edge delta as a new immutable
+// version (optionally guarded by ifVersion), stored samples are repaired
+// forward, and responses say how they were produced (servedFrom: solve |
+// cache | coalesced).
 //
 //	gbcd -addr :8080
 //	curl -s localhost:8080/v1/graphs -d '{"name":"ba","generator":"ba","n":2000,"degree":4}'
@@ -86,6 +90,7 @@ func parseFlags(args []string, onError flag.ErrorHandling) config {
 	fs.IntVar(&cfg.server.Workers, "workers", 0, "concurrent solver runs (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.server.QueueDepth, "queue", 0, "pending-run queue depth (0 = 64)")
 	fs.IntVar(&cfg.server.MaxGraphs, "max-graphs", 0, "resident graph limit (0 = 16)")
+	fs.Int64Var(&cfg.server.SampleBytes, "sample-bytes", 0, "bytes of stored samples all graphs' sample families may retain before the least recently used are dropped (0 = 256 MiB)")
 	fs.DurationVar(&cfg.server.DefaultTimeout, "default-timeout", 0, "per-run deadline when the request names none (0 = 30s)")
 	fs.DurationVar(&cfg.server.MaxTimeout, "max-timeout", 0, "cap on requested per-run deadlines (0 = 5m)")
 	fs.DurationVar(&cfg.drainGrace, "drain-grace", 10*time.Second, "how long in-flight runs may finish after SIGTERM before being cut to partial results")

@@ -107,14 +107,15 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
-// TestParseOverloadFlags pins the new overload-control flags onto their
-// server.Config fields.
+// TestParseOverloadFlags pins the overload-control and capacity flags onto
+// their server.Config fields.
 func TestParseOverloadFlags(t *testing.T) {
 	cfg := parseFlags([]string{
 		"-max-cost", "5e9",
 		"-fastlane-threshold", "1e6",
 		"-tenant-rps", "2.5",
 		"-max-body", "4096",
+		"-sample-bytes", "1048576",
 	}, flag.ContinueOnError)
 	if cfg.server.MaxCost != 5e9 {
 		t.Errorf("MaxCost = %g", cfg.server.MaxCost)
@@ -127,6 +128,9 @@ func TestParseOverloadFlags(t *testing.T) {
 	}
 	if cfg.server.MaxBodyBytes != 4096 {
 		t.Errorf("MaxBodyBytes = %d", cfg.server.MaxBodyBytes)
+	}
+	if cfg.server.SampleBytes != 1<<20 {
+		t.Errorf("SampleBytes = %d", cfg.server.SampleBytes)
 	}
 }
 

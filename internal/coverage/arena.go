@@ -63,8 +63,10 @@ func (a *PathArena) AppendArena(src *PathArena) {
 // order reproduces exact global index order). Empty ranges are appended as
 // null samples; their count is returned so the caller can maintain its
 // unreachable count. Like Add, AddArenas never touches the inverted index
-// — Commit folds the new paths in at the next growth boundary.
+// — Commit folds the new paths in at the next growth boundary — and
+// discards stored paths beyond Len first.
 func (c *Instance) AddArenas(arenas []*PathArena) (nulls int) {
+	c.dropStored()
 	for _, a := range arenas {
 		for k := 0; k < a.Len(); k++ {
 			lo, hi := a.Offsets[k], a.Offsets[k+1]
@@ -74,6 +76,7 @@ func (c *Instance) AddArenas(arenas []*PathArena) (nulls int) {
 			c.nodes = append(c.nodes, a.Nodes[lo:hi]...)
 			c.offsets = append(c.offsets, int64(len(c.nodes)))
 		}
+		c.length += a.Len()
 	}
 	return nulls
 }

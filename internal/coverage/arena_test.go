@@ -130,3 +130,49 @@ func TestPathArenaReset(t *testing.T) {
 		t.Fatalf("arena after reset misrecorded: %+v", a)
 	}
 }
+
+// TestResetExtendReadmitsStoredPaths pins the rewind contract: after Reset,
+// Extend re-admits stored paths in order with their null count, and the
+// rebuilt index answers like a fresh instance fed the same prefix; an Add
+// after a partial re-admission drops the stored tail and lands at Len.
+func TestResetExtendReadmitsStoredPaths(t *testing.T) {
+	const n = 40
+	arenas, paths := blockPaths(t, n, []int{30, 50}, 7)
+	c := New(n)
+	c.AddArenas(arenas)
+	c.Greedy(3)
+	c.Reset()
+	if c.Len() != 0 || c.Stored() != len(paths) {
+		t.Fatalf("Reset: Len %d Stored %d, want 0 and %d", c.Len(), c.Stored(), len(paths))
+	}
+	fresh := New(n)
+	prefix := 0
+	for _, l := range []int{0, 12, 12, 45, len(paths)} {
+		wantNulls := 0
+		for _, p := range paths[prefix:l] {
+			fresh.Add(p)
+			if p == nil {
+				wantNulls++
+			}
+		}
+		if nulls := c.Extend(l); nulls != wantNulls {
+			t.Fatalf("Extend(%d): %d nulls, want %d", l, nulls, wantNulls)
+		}
+		prefix = l
+		gc, cc := c.Greedy(4)
+		gf, cf := fresh.Greedy(4)
+		if c.Len() != l || cc != cf || !slices.Equal(gc, gf) {
+			t.Fatalf("Extend(%d): Len %d greedy %v (%d), fresh %v (%d)", l, c.Len(), gc, cc, gf, cf)
+		}
+	}
+
+	c.Reset()
+	c.Extend(10)
+	c.Add([]int32{1, 2})
+	if c.Len() != 11 || c.Stored() != 11 || !slices.Equal(c.PathView(10), []int32{1, 2}) {
+		t.Fatalf("Add after a partial Extend: Len %d Stored %d path %v", c.Len(), c.Stored(), c.PathView(10))
+	}
+	if !slices.Equal(c.PathView(9), paths[9]) {
+		t.Fatalf("Add disturbed the re-admitted prefix: %v vs %v", c.PathView(9), paths[9])
+	}
+}

@@ -17,6 +17,12 @@
 // query methods share one epoch-stamped workspace, so re-running Greedy,
 // GreedyReference, GreedyBudgeted or CoveredBy on a grown instance
 // allocates (almost) nothing. An Instance is not safe for concurrent use.
+//
+// The arena may hold more paths than the instance currently exposes:
+// Reset rewinds Len to zero but keeps the stored paths, and Extend
+// re-admits them in order, so a caller whose paths are a pure function of
+// their index (the sampling layer) regrows a rewound instance without
+// re-deriving them.
 package coverage
 
 import "container/heap"
@@ -27,9 +33,11 @@ type Instance struct {
 
 	// Arena: the nodes of path p are nodes[offsets[p]:offsets[p+1]].
 	// A null sample (unreachable pair) is an empty range: it counts toward
-	// Len but can never be covered.
+	// Len but can never be covered. The arena stores Stored() paths; the
+	// first length of them are live (Len), the rest were kept by Reset.
 	nodes   []int32
-	offsets []int64 // len = Len()+1, offsets[0] = 0, non-decreasing
+	offsets []int64 // len = Stored()+1, offsets[0] = 0, non-decreasing
+	length  int
 
 	// CSR inverted index over the first `indexed` paths: the ids of the
 	// paths containing node v are idx[idxStart[v]:idxStart[v+1]], in
@@ -60,18 +68,48 @@ func New(n int) *Instance {
 // N returns the node-universe size.
 func (c *Instance) N() int { return c.n }
 
-// Len returns the number of paths added (including null samples).
-func (c *Instance) Len() int { return len(c.offsets) - 1 }
+// Len returns the number of live paths (including null samples).
+func (c *Instance) Len() int { return c.length }
 
-// Add appends one sampled path to the arena. A nil (or empty) path records
-// an unreachable-pair sample: it counts toward Len but can never be
-// covered. Nodes must be in range and appear at most once per path
+// Stored returns the number of paths held in the arena: the Len live ones
+// plus any a Reset kept for Extend to re-admit.
+func (c *Instance) Stored() int { return len(c.offsets) - 1 }
+
+// Add appends one sampled path as path Len(). A nil (or empty) path
+// records an unreachable-pair sample: it counts toward Len but can never
+// be covered. Nodes must be in range and appear at most once per path
 // (shortest paths are simple); out-of-range nodes are caught by the next
 // Commit. Add never touches the inverted index — growth is two flat
 // appends — so bulk growth stays cache-friendly and allocation-light.
+// Stored paths beyond Len are discarded first.
 func (c *Instance) Add(path []int32) {
+	c.dropStored()
 	c.nodes = append(c.nodes, path...)
 	c.offsets = append(c.offsets, int64(len(c.nodes)))
+	c.length++
+}
+
+// dropStored discards the stored paths beyond Len, so appends land at
+// index Len.
+func (c *Instance) dropStored() {
+	c.nodes = c.nodes[:c.offsets[c.length]]
+	c.offsets = c.offsets[:c.length+1]
+}
+
+// Extend re-admits stored paths until Len() == l and returns how many of
+// the re-admitted paths are null. Like Add it leaves the inverted index to
+// the next Commit. It panics unless Len() <= l <= Stored().
+func (c *Instance) Extend(l int) (nulls int) {
+	if l < c.length || l > c.Stored() {
+		panic("coverage: Extend beyond the stored paths")
+	}
+	for p := c.length; p < l; p++ {
+		if c.offsets[p] == c.offsets[p+1] {
+			nulls++
+		}
+	}
+	c.length = l
+	return nulls
 }
 
 // Commit folds every path added since the previous Commit into the CSR
@@ -83,7 +121,7 @@ func (c *Instance) Add(path []int32) {
 // growth boundaries — which PR 1's all-or-nothing chunk contract guarantees
 // are chunk boundaries — so queries never pay for index construction.
 func (c *Instance) Commit() {
-	total := c.Len()
+	total := c.length
 	if c.indexed == total {
 		return
 	}
@@ -94,7 +132,7 @@ func (c *Instance) Commit() {
 	cnt := c.cnt
 
 	// Per-node occurrence counts of the uncommitted tail.
-	for _, v := range c.nodes[c.offsets[c.indexed]:] {
+	for _, v := range c.nodes[c.offsets[c.indexed]:c.offsets[total]] {
 		cnt[v]++
 	}
 
@@ -145,20 +183,15 @@ func (c *Instance) Commit() {
 	c.indexed = total
 }
 
-// Reset empties the instance — arena, inverted index and Len all return to
-// zero — while keeping every allocation: arena and index capacity, the
-// commit scratch and the query workspace survive, so regrowing a reset
-// instance runs on the warm allocation-free path exactly like growth after
-// a Commit. The serving layer resets a registry entry's sample sets between
-// runs; since each sample index is a pure function of the set's seeds, a
-// reset-and-regrown set is bit-identical to a freshly built one.
+// Reset rewinds the instance: Len and the inverted index return to zero,
+// but the stored paths stay in the arena for Extend to re-admit, and every
+// allocation (arena and index capacity, commit scratch, query workspace)
+// survives. Re-admitting stored paths and committing them rebuilds the
+// same index a fresh instance fed the same paths would build.
 func (c *Instance) Reset() {
-	c.nodes = c.nodes[:0]
-	c.offsets = c.offsets[:1]
+	c.length = 0
 	c.idx = c.idx[:0]
-	for v := range c.idxStart {
-		c.idxStart[v] = 0
-	}
+	clear(c.idxStart)
 	c.indexed = 0
 }
 

@@ -1,19 +1,21 @@
 package coverage
 
-// PathView returns the nodes of path p (empty for a null sample). The
-// slice aliases the arena and is valid until the next mutation; callers
-// must not modify it. It is the read surface of the repair layer and of
-// differential tests comparing two instances path-for-path.
+// PathView returns the nodes of stored path p (empty for a null sample).
+// The slice aliases the arena and is valid until the next mutation;
+// callers must not modify it. It is the read surface of the repair layer
+// and of differential tests comparing two instances path-for-path.
 func (c *Instance) PathView(p int) []int32 {
 	return c.nodes[c.offsets[p]:c.offsets[p+1]]
 }
 
-// Splice replaces the paths at the given ascending ids with the paths of
-// patch (patch path k replaces ids[k]; len(ids) must equal patch.Len())
-// and rebuilds the inverted index. It returns how many of the replaced
-// paths were null before and after the splice, so the caller can maintain
-// its unreachable count. Len is unchanged — repair rewrites sample
-// content in place, it never adds or removes samples.
+// Splice replaces the stored paths at the given ascending ids with the
+// paths of patch (patch path k replaces ids[k]; len(ids) must equal
+// patch.Len()) and rebuilds the inverted index. Ids may reach past Len
+// into the paths a Reset kept. It returns how many of the replaced live
+// paths (id < Len) were null before and after the splice, so the caller
+// can maintain its unreachable count. Len and Stored are unchanged —
+// repair rewrites sample content in place, it never adds or removes
+// samples.
 //
 // The arena is rebuilt in one pass into buffers that are then swapped in,
 // so the cost is one memcpy of the arena plus a full index rebuild —
@@ -27,7 +29,7 @@ func (c *Instance) Splice(ids []int, patch *PathArena) (oldNulls, newNulls int) 
 	if len(ids) == 0 {
 		return 0, 0
 	}
-	total := c.Len()
+	total := c.Stored()
 	newNodes := make([]int32, 0, len(c.nodes)+len(patch.Nodes))
 	newOffsets := make([]int64, 1, total+1)
 	k := 0
@@ -35,10 +37,10 @@ func (c *Instance) Splice(ids []int, patch *PathArena) (oldNulls, newNulls int) 
 		var seg []int32
 		if k < len(ids) && ids[k] == p {
 			seg = patch.Nodes[patch.Offsets[k]:patch.Offsets[k+1]]
-			if c.offsets[p] == c.offsets[p+1] {
+			if p < c.length && c.offsets[p] == c.offsets[p+1] {
 				oldNulls++
 			}
-			if len(seg) == 0 {
+			if p < c.length && len(seg) == 0 {
 				newNulls++
 			}
 			k++
@@ -56,9 +58,7 @@ func (c *Instance) Splice(ids []int, patch *PathArena) (oldNulls, newNulls int) 
 	// The index rows' path ids are unchanged but their node membership is
 	// not; rebuild from scratch through the incremental machinery.
 	c.idx = c.idx[:0]
-	for v := range c.idxStart {
-		c.idxStart[v] = 0
-	}
+	clear(c.idxStart)
 	c.indexed = 0
 	c.Commit()
 	return oldNulls, newNulls

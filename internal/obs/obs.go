@@ -27,7 +27,8 @@ import (
 // The zero value is ready to use; a nil *Metrics is the disabled state and
 // every method no-ops on it. All methods are safe for concurrent use.
 type Metrics struct {
-	samples    atomic.Int64  // committed path samples across all sets
+	samples    atomic.Int64  // path samples drawn across all sets
+	reused     atomic.Int64  // stored samples re-admitted by a rewound set instead of drawn
 	nulls      atomic.Int64  // committed null samples (unreachable pairs)
 	chunks     atomic.Int64  // committed growth chunks
 	greedyRuns atomic.Int64  // greedy max-coverage (re-)runs
@@ -40,13 +41,18 @@ type Metrics struct {
 	startNanos atomic.Int64  // wall clock of the first committed chunk
 
 	// Serving-layer counters (internal/server): scheduler queue depth,
-	// single-flight coalescing, and the graph registry's warm sample-set
-	// cache and LRU evictions.
+	// requests coalesced onto an in-flight run, the sample families' sets
+	// and the registry's LRU evictions.
 	queueDepth    atomic.Int64 // requests waiting for a scheduler slot
 	coalesced     atomic.Int64 // requests served by another request's run
-	registryHits  atomic.Int64 // warm sampling.Sets served from a registry entry
+	registryHits  atomic.Int64 // sample-family sets served to a run
 	registryMiss  atomic.Int64 // sampler sets built fresh for a registry entry
 	registryEvict atomic.Int64 // graphs evicted from the registry LRU
+
+	// Sample-family counters (internal/server): families evicted to keep
+	// the retained samples within the byte budget, and the bytes retained.
+	familyEvict atomic.Int64
+	familyBytes atomic.Int64
 
 	// Overload-accounting counters (PR 6). Every structurally valid
 	// /v1/topk request is admitted into the pipeline and then terminates in
@@ -123,8 +129,8 @@ func (m *Metrics) AddSamplerIdle(nanos int64) {
 	m.samplerIdleNanos.Add(nanos)
 }
 
-// AddSamples records one committed growth chunk of n samples, nulls of
-// which were unreachable pairs.
+// AddSamples records one committed growth chunk of n drawn samples, nulls
+// of which were unreachable pairs.
 func (m *Metrics) AddSamples(n, nulls int) {
 	if m == nil {
 		return
@@ -133,6 +139,15 @@ func (m *Metrics) AddSamples(n, nulls int) {
 	m.samples.Add(int64(n))
 	m.nulls.Add(int64(nulls))
 	m.chunks.Add(1)
+}
+
+// AddSamplesReused records n stored samples a rewound set re-admitted
+// instead of drawing them again.
+func (m *Metrics) AddSamplesReused(n int) {
+	if m == nil {
+		return
+	}
+	m.reused.Add(int64(n))
 }
 
 // SetIteration publishes the adaptive loop's position: outer iteration q,
@@ -209,8 +224,8 @@ func (m *Metrics) IncCoalesced() {
 	m.coalesced.Add(1)
 }
 
-// RegistryHit counts one warm sampling set served from a graph-registry
-// entry: the run skipped cold-starting its sampling lanes and arenas.
+// RegistryHit counts one sample-family set served to a run: the run
+// re-admits the set's stored samples instead of cold-starting it.
 func (m *Metrics) RegistryHit() {
 	if m == nil {
 		return
@@ -228,12 +243,29 @@ func (m *Metrics) RegistryMiss() {
 }
 
 // RegistryEviction counts one graph evicted from the registry's LRU bound,
-// dropping its warm sample sets with it.
+// dropping its sample families with it.
 func (m *Metrics) RegistryEviction() {
 	if m == nil {
 		return
 	}
 	m.registryEvict.Add(1)
+}
+
+// FamilyEviction counts one sample family dropped to keep the retained
+// samples within the serving layer's byte budget.
+func (m *Metrics) FamilyEviction() {
+	if m == nil {
+		return
+	}
+	m.familyEvict.Add(1)
+}
+
+// AddFamilyBytes adjusts the gauge of bytes retained by sample families.
+func (m *Metrics) AddFamilyBytes(delta int64) {
+	if m == nil {
+		return
+	}
+	m.familyBytes.Add(delta)
 }
 
 // RequestAdmitted counts one structurally valid /v1/topk request entering
@@ -345,6 +377,7 @@ func (m *Metrics) ShardRetry() {
 // endpoint serves exactly this object under the "gbc" key).
 type Stats struct {
 	Samples       int64   `json:"samples"`
+	SamplesReused int64   `json:"samplesReused"`
 	NullSamples   int64   `json:"nullSamples"`
 	Chunks        int64   `json:"chunks"`
 	GreedyRuns    int64   `json:"greedyRuns"`
@@ -361,6 +394,8 @@ type Stats struct {
 	RegistryHits      int64 `json:"registryHits"`
 	RegistryMisses    int64 `json:"registryMisses"`
 	RegistryEvictions int64 `json:"registryEvictions"`
+	FamilyEvictions   int64 `json:"familyEvictions"`
+	FamilyBytes       int64 `json:"familyBytes"`
 
 	RequestsAdmitted  int64 `json:"requestsAdmitted"`
 	RequestsCompleted int64 `json:"requestsCompleted"`
@@ -395,22 +430,25 @@ func (m *Metrics) Snapshot() Stats {
 		return Stats{}
 	}
 	s := Stats{
-		Samples:     m.samples.Load(),
-		NullSamples: m.nulls.Load(),
-		Chunks:      m.chunks.Load(),
-		GreedyRuns:  m.greedyRuns.Load(),
-		Iteration:   m.iteration.Load(),
-		Guess:       math.Float64frombits(m.guessBits.Load()),
-		EpsilonSum:  math.Float64frombits(m.epsSumBits.Load()),
-		ArenaBytes:  m.arenaBytes.Load(),
-		BusyWorkers: m.busy.Load(),
-		ActiveRuns:  m.activeRuns.Load(),
+		Samples:       m.samples.Load(),
+		SamplesReused: m.reused.Load(),
+		NullSamples:   m.nulls.Load(),
+		Chunks:        m.chunks.Load(),
+		GreedyRuns:    m.greedyRuns.Load(),
+		Iteration:     m.iteration.Load(),
+		Guess:         math.Float64frombits(m.guessBits.Load()),
+		EpsilonSum:    math.Float64frombits(m.epsSumBits.Load()),
+		ArenaBytes:    m.arenaBytes.Load(),
+		BusyWorkers:   m.busy.Load(),
+		ActiveRuns:    m.activeRuns.Load(),
 
 		QueueDepth:        m.queueDepth.Load(),
 		RunsCoalesced:     m.coalesced.Load(),
 		RegistryHits:      m.registryHits.Load(),
 		RegistryMisses:    m.registryMiss.Load(),
 		RegistryEvictions: m.registryEvict.Load(),
+		FamilyEvictions:   m.familyEvict.Load(),
+		FamilyBytes:       m.familyBytes.Load(),
 
 		RequestsAdmitted:  m.reqAdmitted.Load(),
 		RequestsCompleted: m.reqCompleted.Load(),

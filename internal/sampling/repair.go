@@ -46,7 +46,7 @@ var ErrRepairUnsupported = errors.New("sampling: set does not support incrementa
 
 // RepairStats reports what a Repair did.
 type RepairStats struct {
-	// Samples is the set's length (how many samples were checked).
+	// Samples is how many stored samples were checked (Stored, not Len).
 	Samples int
 	// Regenerated is how many samples were flagged and re-drawn.
 	Regenerated int
@@ -56,7 +56,8 @@ type RepairStats struct {
 
 // Repair migrates the set from its current graph onto ng, which must be
 // the result of applying delta to the current graph over the same node
-// universe. Only samples whose recorded observation region contains a
+// universe. Every stored sample is migrated, including those a Reset kept
+// beyond Len. Only samples whose recorded observation region contains a
 // delta endpoint are re-drawn (on ng, through their per-index RNG
 // streams); everything else is kept as-is. After a successful Repair the
 // set is bound to ng and is bit-identical — paths, null counts, index,
@@ -75,7 +76,7 @@ func (s *Set) Repair(ng *graph.Graph, delta *graph.Delta) (RepairStats, error) {
 		ng.Weighted() != s.g.Weighted() {
 		return st, fmt.Errorf("sampling: repair target graph shape mismatch")
 	}
-	L := s.cov.Len()
+	L := s.cov.Stored()
 	st.Samples = L
 	if len(s.obs) != 2*L {
 		// Growth predates bound recording or bypassed it; nothing to trust.
@@ -116,12 +117,12 @@ func (s *Set) Repair(ng *graph.Graph, delta *graph.Delta) (RepairStats, error) {
 	return st, nil
 }
 
-// flagSamples returns the ascending indices of every sample whose recorded
-// observation region contains a touched node, by re-deriving each sample's
-// endpoint pair from its RNG stream and testing it against two
+// flagSamples returns the ascending indices of every stored sample whose
+// recorded observation region contains a touched node, by re-deriving each
+// sample's endpoint pair from its RNG stream and testing it against two
 // multi-source BFS distance maps on the old graph.
 func (s *Set) flagSamples(touched []int32) []int {
-	L := s.cov.Len()
+	L := s.cov.Stored()
 	if len(touched) == 0 || L == 0 {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 
 	"gbc/internal/bfs"
 	"gbc/internal/graph"
+	"gbc/internal/obs"
 	"gbc/internal/xrand"
 )
 
@@ -68,7 +69,9 @@ func randomRepairDelta(g *graph.Graph, k int, r *xrand.Rand) *graph.Delta {
 }
 
 // sameSets asserts two sets are bit-identical: length, null count, every
-// path byte-for-byte, and the greedy top-K they induce.
+// live path byte-for-byte with its observation bounds, and the greedy
+// top-K they induce. Stored samples past Len (kept by a Reset) are not
+// compared, but their bounds must stay aligned.
 func sameSets(t *testing.T, got, want *Set, k int) {
 	t.Helper()
 	if got.Len() != want.Len() {
@@ -89,10 +92,11 @@ func sameSets(t *testing.T, got, want *Set, k int) {
 			}
 		}
 	}
-	if len(got.obs) != 2*got.Len() || len(want.obs) != 2*want.Len() {
-		t.Fatalf("obs length: %d and %d for %d samples", len(got.obs), len(want.obs), got.Len())
+	if gs, ws := got.cov.Stored(), want.cov.Stored(); len(got.obs) != 2*gs || len(want.obs) != 2*ws {
+		t.Fatalf("obs length: %d and %d for %d and %d stored samples",
+			len(got.obs), len(want.obs), gs, ws)
 	}
-	for i := range got.obs {
+	for i := range 2 * got.Len() {
 		if got.obs[i] != want.obs[i] {
 			t.Fatalf("obs[%d]: %d != %d", i, got.obs[i], want.obs[i])
 		}
@@ -315,11 +319,11 @@ func BenchmarkColdRegrow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := NewBidirectionalSet(ng, xrand.New(77))
-	s.GrowTo(L) // allocate warm state once
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Reset()
+		// A fresh set every iteration: a Reset set would re-admit its
+		// stored samples instead of drawing them.
+		s := NewBidirectionalSet(ng, xrand.New(77))
 		s.GrowTo(L)
 	}
 }
@@ -351,6 +355,52 @@ func BenchmarkRepair(b *testing.B) {
 			if _, err := s.Repair(base, back); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// TestRepairRewoundSet: Repair on a rewound set migrates every stored
+// sample, not just the live ones — the live prefix equals a cold regrow on
+// the patched graph, and regrowing into the stored tail re-admits migrated
+// samples (drawing none) that equal a cold regrow at the full stored
+// length.
+func TestRepairRewoundSet(t *testing.T) {
+	const (
+		stored = 1500
+		live   = 600
+		k      = 10
+	)
+	g := randomGraph(t, 300, 900, false, 7)
+	delta := randomRepairDelta(g, 3, xrand.New(99))
+	ng, err := graph.ApplyDelta(g, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		s := NewBidirectionalSet(g, xrand.New(77))
+		s.Workers = workers
+		s.GrowTo(stored)
+		s.Reset()
+		s.GrowTo(live)
+		st, err := s.Repair(ng, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Samples != stored || st.Regenerated == 0 {
+			t.Fatalf("workers=%d: repair checked %d samples (regenerated %d), want all %d stored",
+				workers, st.Samples, st.Regenerated, stored)
+		}
+		cold := NewBidirectionalSet(ng, xrand.New(77))
+		cold.GrowTo(live)
+		sameSets(t, s, cold, k)
+
+		s.Metrics = &obs.Metrics{}
+		s.GrowTo(stored)
+		cold.GrowTo(stored)
+		sameSets(t, s, cold, k)
+		if m := s.Metrics.Snapshot(); m.Samples != 0 || m.SamplesReused != stored-live {
+			t.Fatalf("workers=%d: regrowth into the stored tail drew %d and re-admitted %d, want 0 and %d",
+				workers, m.Samples, m.SamplesReused, stored-live)
 		}
 	}
 }

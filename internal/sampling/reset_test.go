@@ -1,17 +1,19 @@
 package sampling
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"gbc/internal/gen"
 	"gbc/internal/graph"
+	"gbc/internal/obs"
 	"gbc/internal/xrand"
 )
 
-// resetTestGraphs covers all three sampler kinds the registry's warm cache
-// serves: bidirectional and forward on the unweighted graph, Dijkstra on
-// the weighted one.
+// resetTestGraphs covers all three sampler kinds the serving layer's
+// sample families hold: bidirectional and forward on the unweighted graph,
+// Dijkstra on the weighted one.
 func resetTestGraphs(t *testing.T) (unweighted, weighted *graph.Graph) {
 	t.Helper()
 	unweighted = gen.BarabasiAlbert(300, 3, xrand.New(11))
@@ -31,7 +33,7 @@ func resetTestGraphs(t *testing.T) (unweighted, weighted *graph.Graph) {
 
 // assertRegrowsIdentically grows a set, Resets it, regrows, and requires
 // the regrown state to match a fresh set built from the same seed draw —
-// the property the server's warm registry relies on for bit-identical
+// the property the server's sample families rely on for bit-identical
 // repeated queries.
 func assertRegrowsIdentically(t *testing.T, build func(*xrand.Rand) *Set, L int) {
 	t.Helper()
@@ -96,8 +98,8 @@ func TestResetRegrowsWithWorkers(t *testing.T) {
 }
 
 // TestResetThenLargerGrowth: a regrow past the original length must match a
-// fresh set of the larger length (the registry reuses warm sets for runs
-// that may need more samples than any previous run drew).
+// fresh set of the larger length (a family's sets serve runs that may need
+// more samples than any previous run drew).
 func TestResetThenLargerGrowth(t *testing.T) {
 	unweighted, _ := resetTestGraphs(t)
 	warm := NewBidirectionalSet(unweighted, xrand.New(5))
@@ -111,5 +113,55 @@ func TestResetThenLargerGrowth(t *testing.T) {
 	fg, fc := fresh.Greedy(4)
 	if !reflect.DeepEqual(wg, fg) || wc != fc || warm.Len() != fresh.Len() {
 		t.Fatalf("regrow past original length diverged: %v/%d vs %v/%d", wg, wc, fg, fc)
+	}
+}
+
+// growthLog records the growth events of a set.
+type growthLog []obs.GrowthEvent
+
+func (l *growthLog) OnGrowth(e obs.GrowthEvent) { *l = append(*l, e) }
+
+// TestRewindReplaysStoredSamples pins the rewind path: a set grown to
+// `stored`, Reset, then regrown to a shorter and then a longer target
+// equals a fresh set grown along the same targets — paths, Unreachable,
+// observation bounds and growth events — while drawing only the samples
+// past the stored ones. The stored length ends mid-chunk of the longer
+// growth, so one chunk is part re-admitted, part drawn.
+func TestRewindReplaysStoredSamples(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 3, xrand.New(13))
+	const (
+		stored = 2*GrowChunk + 700
+		short  = GrowChunk + 300
+		long   = 3*GrowChunk + 50
+	)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			build := func() (*Set, *growthLog) {
+				s := NewBidirectionalSet(g, xrand.New(21))
+				s.Workers = workers
+				s.Label = "S"
+				log := &growthLog{}
+				s.Observer = log
+				return s, log
+			}
+			rewound, rlog := build()
+			rewound.GrowTo(stored)
+			rewound.Reset()
+			*rlog = nil
+			rewound.Metrics = &obs.Metrics{}
+			fresh, flog := build()
+			for _, L := range []int{short, long} {
+				rewound.GrowTo(L)
+				fresh.GrowTo(L)
+				sameSets(t, rewound, fresh, 5)
+				if !reflect.DeepEqual(*rlog, *flog) {
+					t.Fatalf("growth to %d: events %+v, want %+v", L, *rlog, *flog)
+				}
+			}
+			if m := rewound.Metrics.Snapshot(); m.Samples != long-stored || m.SamplesReused != stored {
+				t.Fatalf("drew %d and re-admitted %d samples, want %d and %d",
+					m.Samples, m.SamplesReused, long-stored, stored)
+			}
+		})
 	}
 }

@@ -18,6 +18,12 @@
 // deadline fires. A cancelled Set is left at a chunk boundary and is
 // indistinguishable from one grown sequentially to the same length — the
 // partial state stays fully deterministic and usable.
+//
+// Reset rewinds a Set without forgetting what it drew: the stored samples
+// are re-admitted by the next growth instead of drawn again. Because
+// sample i is a pure function of (seeds, i, graph), the rewound-and-regrown
+// Set is bit-identical to a fresh one, and every run on one (graph, seeds,
+// sampler) pays only for the samples no earlier run drew.
 package sampling
 
 import (
@@ -72,12 +78,12 @@ type Set struct {
 	samplerFor func(*graph.Graph) PairSampler
 	cov        *coverage.Instance
 
-	// obs holds two observation-bound values per sample in index order
-	// (bfs.Sample.ObsF, ObsB — see that type for the soundness contract),
-	// maintained at every commit point alongside the coverage arena. Repair
-	// reads them to decide which samples a delta could have perturbed; a
-	// zero ObsF marks a sample drawn by a bounds-blind sampler and
-	// disqualifies the whole set from repair.
+	// obs holds two observation-bound values per stored sample in index
+	// order (bfs.Sample.ObsF, ObsB — see that type for the soundness
+	// contract), maintained at every commit point alongside the coverage
+	// arena. Repair reads them to decide which samples a delta could have
+	// perturbed; a zero ObsF marks a sample drawn by a bounds-blind sampler
+	// and disqualifies the whole set from repair.
 	obs []int32
 
 	// lanes holds the per-worker draw states (see lane.go); lanes[0] wraps
@@ -208,8 +214,14 @@ func (s *Set) addLane(sampler PairSampler) {
 	s.arenas = append(s.arenas, &l.arena)
 }
 
-// Len returns the number of samples drawn so far (null samples included).
+// Len returns the number of samples in the set (null samples included).
 func (s *Set) Len() int { return s.cov.Len() }
+
+// MemoryFootprint returns the bytes the set retains for its samples: the
+// coverage engine's arena, index and scratch plus the observation bounds.
+func (s *Set) MemoryFootprint() int64 {
+	return s.cov.MemoryFootprint() + int64(cap(s.obs))*4
+}
 
 // GrowTo samples additional shortest paths until Len() == L.
 // Growing to a smaller or equal L is a no-op. A lane panic is re-raised on
@@ -224,12 +236,15 @@ func (s *Set) GrowTo(L int) {
 
 // GrowToCtx is GrowTo with cancellation: samples are drawn and committed in
 // chunks of GrowChunk, and the context is checked between chunks (several
-// lanes additionally check it per sample). On cancellation the Set keeps
-// every fully committed chunk — a deterministic prefix identical to a
-// one-lane run of the same length — and ctx.Err() is returned. A panic
-// while drawing is recovered and returned as a *PanicError instead of
-// crashing the process; sibling lanes stop promptly. Every goroutine
-// GrowToCtx starts has exited by the time it returns.
+// lanes additionally check it per sample). Samples a Reset kept are
+// re-admitted instead of drawn; the chunks, events and committed state are
+// the same either way. On cancellation the Set keeps every fully committed
+// chunk (and every re-admitted stored sample) — a deterministic prefix
+// identical to a one-lane run of the same length — and ctx.Err() is
+// returned. A panic while drawing is recovered and returned as a
+// *PanicError instead of crashing the process; sibling lanes stop
+// promptly. Every goroutine GrowToCtx starts has exited by the time it
+// returns.
 func (s *Set) GrowToCtx(ctx context.Context, L int) error {
 	cur := s.cov.Len()
 	if L <= cur {
@@ -240,17 +255,25 @@ func (s *Set) GrowToCtx(ctx context.Context, L int) error {
 			return err
 		}
 		end := min(cur+GrowChunk, L)
-		nullsBefore := s.Unreachable
-		var err error
-		if s.Remote != nil {
-			err = s.growRemote(ctx, cur, end)
-		} else {
-			err = s.growLocal(ctx, cur, end)
+		from := cur
+		if stored := s.cov.Stored(); from < stored {
+			from = min(end, stored)
+			s.Unreachable += s.cov.Extend(from)
+			s.Metrics.AddSamplesReused(from - cur)
 		}
-		if err != nil {
-			return err
+		if from < end {
+			nullsBefore := s.Unreachable
+			var err error
+			if s.Remote != nil {
+				err = s.growRemote(ctx, from, end)
+			} else {
+				err = s.growLocal(ctx, from, end)
+			}
+			if err != nil {
+				return err
+			}
+			s.Metrics.AddSamples(end-from, s.Unreachable-nullsBefore)
 		}
-		s.Metrics.AddSamples(end-cur, s.Unreachable-nullsBefore)
 		if s.Observer != nil {
 			// The chunk is committed either way: an observer panic aborts
 			// the growth like a cancellation, keeping the deterministic
@@ -425,16 +448,16 @@ func (s *Set) sizeShares(count, lanes int) []int {
 	return s.shareEnd
 }
 
-// Reset empties the set — Len and Unreachable return to zero — while
-// keeping the graph, per-index seeds, lanes and all arena capacity, so the
-// next GrowTo* regrows on the warm allocation-free path. Every sample index
-// draws from its own RNG stream derived only from the set's seeds, so a
-// reset set regrown to L is bit-identical to a fresh set grown to L: the
-// serving layer's graph registry uses this to reuse one warm Set across
-// requests while keeping responses deterministic.
+// Reset rewinds the set — Len and Unreachable return to zero — while
+// keeping the graph, per-index seeds, lanes, all arena capacity and the
+// stored samples themselves: the next GrowTo* re-admits stored samples
+// through the coverage engine's incremental Commit and draws only past
+// them. Every sample index draws from its own RNG stream derived only from
+// the set's seeds, so a reset set regrown to L is bit-identical to a fresh
+// set grown to L: the serving layer uses this to share one Set's samples
+// across every request on the same (graph, seed, sampler).
 func (s *Set) Reset() {
 	s.cov.Reset()
-	s.obs = s.obs[:0]
 	s.Unreachable = 0
 }
 

@@ -195,8 +195,9 @@ func TestGraphPatchEndpoint(t *testing.T) {
 }
 
 // TestTopKServedFromCache pins the first-class reuse path: a repeat of a
-// converged request answers from the ε-dominance cache — no solver work,
-// no scheduler slot — unless the client demands freshness "exact".
+// converged request answers from its family's memo — no solver work, no
+// scheduler slot — unless the client demands freshness "exact", which
+// solves again on the family's stored samples.
 func TestTopKServedFromCache(t *testing.T) {
 	_, ts, m := newTestServer(t, Config{})
 	addGeneratedGraph(t, ts.URL, "g", 600)
@@ -235,8 +236,8 @@ func TestTopKServedFromCache(t *testing.T) {
 	if s2.ResultCacheHits != s1.ResultCacheHits+1 {
 		t.Fatalf("ResultCacheHits %d -> %d, want +1", s1.ResultCacheHits, s2.ResultCacheHits)
 	}
-	// No solver work ran: no samples drawn, no warm sets touched, and the
-	// overload accounting counts the hit as completed.
+	// No solver work ran: no samples drawn, no family sets touched, and
+	// the overload accounting counts the hit as completed.
 	if s2.Samples != s1.Samples || s2.RegistryHits != s1.RegistryHits {
 		t.Fatalf("cache hit did solver work: %+v -> %+v", s1, s2)
 	}
@@ -257,7 +258,8 @@ func TestTopKServedFromCache(t *testing.T) {
 		t.Fatalf("loose-eps repeat not served from cache: %+v", hit)
 	}
 
-	// freshness "exact" forces a fresh solve (warm sets this time).
+	// freshness "exact" forces a solve, which re-admits the family's
+	// stored samples instead of drawing any.
 	exact := map[string]any{"graph": "g", "k": 5, "seed": 7, "freshness": "exact"}
 	status, body = post(t, ts.URL+"/v1/topk", exact)
 	if status != http.StatusOK {
@@ -269,9 +271,11 @@ func TestTopKServedFromCache(t *testing.T) {
 	if hit.ServedFrom != "solve" {
 		t.Fatalf("exact repeat served from %q, want solve", hit.ServedFrom)
 	}
-	if s3 := m.Snapshot(); s3.Samples == s2.Samples {
-		t.Fatal("exact repeat drew no samples")
+	if s3 := m.Snapshot(); s3.Samples != s2.Samples || s3.SamplesReused-s2.SamplesReused != int64(first.Result.Samples) {
+		t.Fatalf("exact repeat drew %d and re-admitted %d samples, want 0 and %d",
+			s3.Samples-s2.Samples, s3.SamplesReused-s2.SamplesReused, first.Result.Samples)
 	}
+	sameAnswer(t, "exact repeat", hit.Result, first.Result)
 
 	// Trace requests bypass the cache (cached results are trace-stripped).
 	traced := map[string]any{"graph": "g", "k": 5, "seed": 7, "trace": true}
@@ -402,14 +406,14 @@ func TestTopKCacheInvalidatedByPatch(t *testing.T) {
 }
 
 // TestEntrySolveRepairAfterPatch is the serving half of the repair
-// guarantee: warm sets left behind by a patch are repaired forward at the
+// guarantee: family sets left behind by a patch are repaired forward at the
 // next solve (registry hits, not misses; repair counters move) and the
 // response is bit-identical to a cold solve on the patched graph.
 func TestEntrySolveRepairAfterPatch(t *testing.T) {
 	g := testGraph(t, 3)
 	opts := core.Options{K: 5, Seed: 7, Epsilon: 0.2}
 	m := &obs.Metrics{}
-	r := NewRegistry(2, m)
+	r := NewRegistry(2, 0, m)
 	e, err := r.Add("g", "", g)
 	if err != nil {
 		t.Fatal(err)
@@ -488,11 +492,11 @@ func TestEntrySolveRepairAfterPatch(t *testing.T) {
 
 // TestPatchRetiresMappedVersion pins the per-version refcount: the mmap of
 // a file-backed base version must survive a patch for exactly as long as
-// something uses it — here the warm sets' version binding — and unmap the
-// moment the binding moves forward.
+// something uses it — here the sample family's version binding — and
+// unmap the moment the binding moves forward.
 func TestPatchRetiresMappedVersion(t *testing.T) {
 	m := &obs.Metrics{}
-	r := NewRegistry(2, m)
+	r := NewRegistry(2, 0, m)
 	fg, err := graph.OpenCSR(writeCSRGraph(t, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +514,7 @@ func TestPatchRetiresMappedVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Patch: the old mapped version is retired but the warm sets still
+	// Patch: the old mapped version is retired but the family still
 	// bind it, so the mapping must survive.
 	v0 := fg.OutNeighbors(0)[0]
 	if _, err := e.Patch(&graph.Delta{Delete: []graph.DeltaEdge{{U: 0, V: v0}}}, 0); err != nil {

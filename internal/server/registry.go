@@ -1,9 +1,10 @@
 // Package server is the serving subsystem behind the gbcd daemon: a graph
-// registry that keeps named graphs (and their warm sampling state)
-// resident, a bounded run scheduler that maps request deadlines onto the
-// solvers' context machinery, and a single-flight layer that coalesces
-// identical concurrent requests into one run. The HTTP/JSON surface in
-// server.go exposes all three behind a stable wire API (internal/wire).
+// registry that keeps named graphs resident together with their sample
+// families (stored samples, a memo of converged answers and the in-flight
+// runs per seed — family.go), and a bounded run scheduler that maps
+// request deadlines onto the solvers' context machinery. The HTTP/JSON
+// surface in server.go exposes both behind a stable wire API
+// (internal/wire).
 package server
 
 import (
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gbc/internal/core"
@@ -26,15 +26,22 @@ import (
 )
 
 // Registry holds named resident graphs, LRU-bounded. Each entry owns the
-// warm sampling.Sets of past runs so a repeated query regrows its samples
-// on the zero-allocation path (retained lanes and arenas) instead of
-// cold-starting. Evicting a graph drops its warm sets with it.
+// sample families of past runs (family.go), so a query draws only the
+// samples no earlier run on its family drew. All families share one byte
+// budget with its own LRU; evicting a graph drops its families with it.
 type Registry struct {
 	mu      sync.Mutex
 	cap     int
 	metrics *obs.Metrics
 	entries map[string]*Entry
 	order   *list.List // front = most recently used
+
+	// famMu guards every entry's family map, the families' budget state,
+	// the family LRU and famBytes. It is never held across a solve.
+	famMu     sync.Mutex
+	famLRU    *list.List // of *family, front = most recently used
+	famBytes  int64
+	famBudget int64
 }
 
 // version is one immutable snapshot of an entry's graph. A PATCH produces
@@ -101,16 +108,16 @@ type versionInfo struct {
 	Edges    int       `json:"edges"`
 }
 
-// maxDeltaChain bounds how many versions behind a warm set may fall and
-// still be repaired forward: deltas older than that are pruned and the
+// maxDeltaChain bounds how many versions behind a family's sets may fall
+// and still be repaired forward: deltas older than that are pruned and the
 // sets rebuild cold instead. Keeps per-entry delta memory O(chain).
 const maxDeltaChain = 16
 
 // Entry is one resident graph under a stable name, holding a chain of
-// immutable versions (PATCH /v1/graphs/{name} appends one). Runs against
-// the same entry serialize on its mutex: they share the warm sample sets,
-// which are single-owner state (sampling.Set is not safe for concurrent
-// use). Cross-graph runs proceed in parallel, bounded only by the
+// immutable versions (PATCH /v1/graphs/{name} appends one) and one sample
+// family per (seed, sampler kind) served. Runs on the same family
+// serialize on the family (sampling.Set is single-owner state); runs on
+// different families or graphs proceed in parallel, bounded only by the
 // scheduler.
 //
 // Two reference counts keep storage safe. The entry-level count (Get /
@@ -145,6 +152,7 @@ type Entry struct {
 	directed, weighted bool
 
 	metrics *obs.Metrics
+	reg     *Registry
 
 	// refMu guards the entry-level liveness state below; it is never held
 	// while closing a version.
@@ -164,72 +172,30 @@ type Entry struct {
 	deltas   map[int]*graph.Delta
 	versions []versionInfo
 
-	mu        sync.Mutex
-	warm      map[warmKey]*warmSets
-	warmCount atomic.Int64 // len(warm), readable without e.mu
-
-	// resMu guards the ε-dominance result cache separately from mu, which
-	// is held for the entire duration of a solve: a degraded-path lookup
-	// must answer instantly even while a run is in flight on this entry.
-	resMu   sync.Mutex
-	results map[resultKey]cachedResult
+	// families is guarded by reg.famMu.
+	families map[familyKey]*family
 }
 
-// resultKey identifies the family of runs a completed result can stand in
-// for under the ε-dominance rule: everything answer-determining except ε
-// itself, including the graph version the run observed — a result computed
-// on an older version never answers a request against a newer one. The
-// worker count is not part of it: growth is bit-identical at every worker
-// count. A run completed at ε' dominates any request at ε ≥ ε' with the
-// same key — the looser request would have accepted the tighter answer.
-type resultKey struct {
-	algorithm core.Algorithm
-	k         int
-	seed      uint64
-	forward   bool
-	version   int
-}
-
-// cachedResult is the tightest (smallest-ε) converged result seen for a
-// key. Only converged results are cached: a partial run carries no
-// guarantee at its ε, so it dominates nothing.
-type cachedResult struct {
-	epsilon float64
-	res     wire.Result
-}
-
-// warmKey identifies which cached sets a run may reuse. Sample content is
-// a pure function of (seed, sampler kind, call order): every algorithm
-// derives its sets by the same Split sequence from xrand.New(seed), and
-// the graph fixes weighted-vs-unweighted, so seed plus the forward-sampler
-// ablation flag is the whole key. Runs with an explicit Options.Rand are
-// not cacheable and bypass the warm path.
-type warmKey struct {
-	seed    uint64
-	forward bool
-}
-
-// warmSets holds the cached sets of one warmKey in hook-call order (slot 0
-// is every algorithm's S set, slot 1 AdaAlg's T set), plus the version
-// their graphs are bound to. The binding holds a version reference so a
-// retired snapshot stays readable until the sets are repaired forward or
-// dropped.
-type warmSets struct {
-	sets  []*sampling.Set
-	bound *version
-}
+// defaultSampleBytes is the family byte budget when none is configured.
+const defaultSampleBytes = 256 << 20
 
 // NewRegistry returns an empty registry bounded to at most max resident
-// graphs (min 1); m may be nil to disable metrics.
-func NewRegistry(max int, m *obs.Metrics) *Registry {
+// graphs (min 1) whose sample families retain at most sampleBytes bytes
+// (≤ 0 picks 256 MiB); m may be nil to disable metrics.
+func NewRegistry(max int, sampleBytes int64, m *obs.Metrics) *Registry {
 	if max < 1 {
 		max = 1
 	}
+	if sampleBytes <= 0 {
+		sampleBytes = defaultSampleBytes
+	}
 	return &Registry{
-		cap:     max,
-		metrics: m,
-		entries: make(map[string]*Entry),
-		order:   list.New(),
+		cap:       max,
+		metrics:   m,
+		entries:   make(map[string]*Entry),
+		order:     list.New(),
+		famLRU:    list.New(),
+		famBudget: sampleBytes,
 	}
 }
 
@@ -255,12 +221,13 @@ func (r *Registry) Add(name, desc string, g *graph.Graph) (*Entry, error) {
 	v := &version{num: 1, g: g, created: now}
 	e := &Entry{
 		Name: name, Desc: desc, Created: now,
-		cur: v, warm: make(map[warmKey]*warmSets),
-		deltas:  make(map[int]*graph.Delta),
-		results: make(map[resultKey]cachedResult),
-		nodes:   g.N(), edges: g.M(),
+		cur:      v,
+		deltas:   make(map[int]*graph.Delta),
+		families: make(map[familyKey]*family),
+		nodes:    g.N(), edges: g.M(),
 		directed: g.Directed(), weighted: g.Weighted(),
 		metrics:  r.metrics,
+		reg:      r,
 		versions: []versionInfo{{Version: 1, Created: now, Edges: g.M()}},
 	}
 	r.metrics.AddGraphBytesMapped(g.MappedBytes())
@@ -313,29 +280,31 @@ func (e *Entry) evict() {
 	}
 }
 
-// shutDown retires the entry's current version and drops the warm sets'
-// version bindings. Versions retired by earlier patches settle themselves
-// through their own reference counts; with the entry's reference count at
-// zero no solve is in flight, so taking e.mu here cannot deadlock.
+// shutDown retires the entry's current version and drops its families
+// (their samples and version bindings; a family still held by a run loses
+// them when that run releases it). Versions retired by earlier patches
+// settle themselves through their own reference counts.
 func (e *Entry) shutDown() {
 	e.verMu.Lock()
 	v := e.cur
 	e.verMu.Unlock()
-	e.mu.Lock()
-	for _, ws := range e.warm {
-		if ws.bound != nil {
-			ws.bound.release(e.metrics)
-			ws.bound = nil
+	r := e.reg
+	var idle []*family
+	r.famMu.Lock()
+	for _, f := range e.families {
+		r.dropLocked(f)
+		if f.users == 0 {
+			idle = append(idle, f)
 		}
-		ws.sets = nil
 	}
-	e.warm = make(map[warmKey]*warmSets)
-	e.warmCount.Store(0)
-	e.mu.Unlock()
+	r.famMu.Unlock()
+	for _, f := range idle {
+		f.dropSets()
+	}
 	v.retire(e.metrics)
 }
 
-// Remove drops the named graph and its warm state. It reports whether the
+// Remove drops the named graph and its families. It reports whether the
 // name was present. Like eviction, the backing storage is closed once the
 // last outstanding reference is released.
 func (r *Registry) Remove(name string) bool {
@@ -404,14 +373,25 @@ func (e *Entry) shape() (nodes, edges, ver int) {
 	return e.nodes, e.edges, e.cur.num
 }
 
-// WarmSetCount returns how many warm-set families the entry holds.
-func (e *Entry) WarmSetCount() int { return int(e.warmCount.Load()) }
+// FamilyCount returns how many sample families the entry holds.
+func (e *Entry) FamilyCount() int {
+	e.reg.famMu.Lock()
+	defer e.reg.famMu.Unlock()
+	return len(e.families)
+}
 
-// CachedResultCount returns how many ε-dominance results are cached.
-func (e *Entry) CachedResultCount() int {
-	e.resMu.Lock()
-	defer e.resMu.Unlock()
-	return len(e.results)
+// MemoCount returns how many converged answers the entry's families
+// memoize.
+func (e *Entry) MemoCount() int {
+	e.reg.famMu.Lock()
+	defer e.reg.famMu.Unlock()
+	n := 0
+	for _, f := range e.families {
+		f.mu.Lock()
+		n += len(f.memo)
+		f.mu.Unlock()
+	}
+	return n
 }
 
 // PatchConflictError reports an optimistic-concurrency failure: the
@@ -438,9 +418,9 @@ type PatchInfo struct {
 // apply against exactly that version (409-style *PatchConflictError
 // otherwise); zero means "whatever is current". The old version is
 // retired — its storage closes once in-flight solves on it drain — and
-// cached results for older versions are dropped, so they can never answer
-// a request again. The delta is recorded on a bounded chain so warm
-// sample sets lazily repair forward at their next use instead of
+// memo answers for older versions are dropped, so they can never answer a
+// request again. The delta is recorded on a bounded chain so every
+// family's samples lazily repair forward at its next solve instead of
 // rebuilding cold.
 //
 // Patches to the same entry serialize; a patch does not wait for, or
@@ -482,16 +462,20 @@ func (e *Entry) Patch(d *graph.Delta, ifVersion int) (PatchInfo, error) {
 	v.release(e.metrics)
 	v.retire(e.metrics)
 
-	// Results computed on older versions are stale by definition; with the
+	// Answers computed on older versions are stale by definition; with the
 	// version in the key they could never be looked up again, so drop them
-	// now rather than letting the map grow with each patch.
-	e.resMu.Lock()
-	for k := range e.results {
-		if k.version != nv.num {
-			delete(e.results, k)
+	// now rather than letting the memos grow with each patch.
+	e.reg.famMu.Lock()
+	for _, f := range e.families {
+		f.mu.Lock()
+		for k := range f.memo {
+			if k.version != nv.num {
+				delete(f.memo, k)
+			}
 		}
+		f.mu.Unlock()
 	}
-	e.resMu.Unlock()
+	e.reg.famMu.Unlock()
 
 	e.metrics.GraphPatched()
 	return PatchInfo{FromVersion: v.num, Version: nv.num, Nodes: ng.N(), Edges: ng.M()}, nil
@@ -522,62 +506,27 @@ func (e *Entry) deltaChain(from, to int) (*graph.Delta, bool) {
 	return merged, true
 }
 
-// prepareWarm rebinds a warm-set family to the version the solve is about
-// to run on. Sets left behind by a patch are repaired forward through the
-// recorded delta chain — only samples whose observation region a delta
-// touched are re-drawn, the arenas and sampling lanes are retained — or,
-// when the chain is pruned or a set does not support repair (weighted
-// Dijkstra sampling, pre-bound growth), dropped to rebuild cold inside
-// the solve. Called under e.mu.
-func (e *Entry) prepareWarm(ws *warmSets, v *version, metrics *obs.Metrics) {
-	if ws.bound == v {
-		return
-	}
-	if ws.bound != nil && len(ws.sets) > 0 {
-		d, ok := e.deltaChain(ws.bound.num, v.num)
-		if ok {
-			for _, s := range ws.sets {
-				// Repair runs outside a solve, so the set's metrics sink
-				// is unset; borrow the caller's for the repair counters.
-				s.Metrics = metrics
-				if _, err := s.Repair(v.g, d); err != nil {
-					ok = false
-					break
-				}
-			}
-		}
-		if !ok {
-			// A failed repair may leave earlier sets already migrated;
-			// dropping the whole family is always safe — the solve
-			// rebuilds them cold on v.g.
-			ws.sets = nil
-		}
-	}
-	if ws.bound != nil {
-		ws.bound.release(e.metrics)
-	}
-	ws.bound = v
-	v.acquire()
-}
-
 // Solve runs opts against the entry's current graph version and returns
 // the result together with the version number it ran on. The version is
 // pinned for the duration, so a concurrent patch retiring it cannot unmap
 // memory mid-solve.
 //
-// When the configuration is cacheable the entry's warm sample sets are
-// reused: a warm set is repaired forward if a patch moved the graph since
-// it last ran (see prepareWarm), then Reset — its samples regrow from
-// index 0 on the retained arenas and sampling lanes, so the response is
-// bit-identical to a cold run on the same version while skipping all
-// steady-state allocation. metrics counts a RegistryHit per reused set
-// and a RegistryMiss per fresh construction.
-//
-// Runs against one entry serialize on the entry mutex (warm sets are
-// single-owner); the scheduler bounds how many entries solve at once.
+// A cacheable run draws through its sample family, and runs on one family
+// serialize on it. The family's sets are repaired forward if a patch
+// moved the graph since they last ran (family.prepare) and served to the
+// solver rewound: the run re-admits the samples earlier runs stored and
+// draws only past them, so it is bit-identical to a cold run on the same
+// version while drawing only what no earlier run on the family drew.
+// metrics counts a RegistryHit per reused set and a RegistryMiss per fresh
+// construction.
 func (e *Entry) Solve(ctx context.Context, opts core.Options, metrics *obs.Metrics) (*core.Result, int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	var f *family
+	if cacheable(opts) {
+		f = e.acquireFamily(familyKeyFor(opts))
+		defer e.releaseFamily(f)
+		f.run.Lock()
+		defer f.run.Unlock()
+	}
 	e.verMu.Lock()
 	v := e.cur
 	v.acquire()
@@ -591,87 +540,55 @@ func (e *Entry) Solve(ctx context.Context, opts core.Options, metrics *obs.Metri
 			return nil, v.num, err
 		}
 	}
-	if cacheable(opts) {
-		key := warmKey{seed: opts.Seed, forward: opts.UseForwardSampler}
-		if key.seed == 0 {
-			key.seed = 1 // Options.withDefaults seeds 0 as 1
-		}
-		ws := e.warm[key]
-		if ws == nil {
-			ws = &warmSets{}
-			e.warm[key] = ws
-			e.warmCount.Store(int64(len(e.warm)))
-		}
-		e.prepareWarm(ws, v, metrics)
-		// Sample content is index-pure, so sharded growth is bit-identical
-		// to local: attach the cluster grower when this entry shards and the
-		// solve runs on the version the workers share; clear it otherwise —
-		// a warm set must not keep growing remotely after a patch moved the
-		// entry past the on-disk file.
-		var remote sampling.RemoteGrower
-		if e.Shard != nil && e.ShardKey != "" && v.num == 1 {
-			remote = e.Shard.Grower(e.ShardKey, samplerKind(v.g, key.forward))
-		}
-		calls := 0
-		opts.SamplerSet = func(g *graph.Graph, r *xrand.Rand) *sampling.Set {
-			slot := calls
-			calls++
-			if slot < len(ws.sets) {
-				metrics.RegistryHit()
-				s := ws.sets[slot]
-				s.Reset()
-				s.Remote = remote
-				return s
-			}
-			metrics.RegistryMiss()
-			s := buildSet(g, r, key.forward)
+	if f == nil {
+		res, err := core.Solve(ctx, v.g, opts)
+		return res, v.num, err
+	}
+	f.prepare(v, metrics)
+	// Sample content is index-pure, so sharded growth is bit-identical to
+	// local: attach the cluster grower when this entry shards and the solve
+	// runs on the version the workers share; clear it otherwise — a set
+	// must not keep growing remotely after a patch moved the entry past the
+	// on-disk file.
+	var remote sampling.RemoteGrower
+	if e.Shard != nil && e.ShardKey != "" && v.num == 1 {
+		remote = e.Shard.Grower(e.ShardKey, samplerKind(v.g, f.key.forward))
+	}
+	calls := 0
+	opts.SamplerSet = func(g *graph.Graph, r *xrand.Rand) *sampling.Set {
+		slot := calls
+		calls++
+		if slot < len(f.sets) {
+			metrics.RegistryHit()
+			s := f.sets[slot]
+			s.Reset()
 			s.Remote = remote
-			ws.sets = append(ws.sets, s)
 			return s
 		}
+		metrics.RegistryMiss()
+		s := buildSet(g, r, f.key.forward)
+		s.Remote = remote
+		f.sets = append(f.sets, s)
+		return s
 	}
 	res, err := core.Solve(ctx, v.g, opts)
+	var b int64
+	for _, s := range f.sets {
+		b += s.MemoryFootprint()
+	}
+	e.reg.famMu.Lock()
+	f.setBytes = b
+	e.reg.famMu.Unlock()
 	return res, v.num, err
 }
 
-// cacheable reports whether a run's sample sets may come from the warm
-// cache: the seed must fully determine them (no caller RNG or sampler
-// hook), and the algorithm must build its sets through the standard hook —
-// PairSampling and Budgeted construct their own and simply run uncached.
+// cacheable reports whether a run may draw through its sample family: the
+// seed must fully determine its sets (no caller RNG or sampler hook), and
+// the algorithm must build its sets through the standard hook —
+// PairSampling and Budgeted construct their own and keep only the memo.
 func cacheable(opts core.Options) bool {
 	return opts.Rand == nil && opts.SamplerSet == nil &&
 		opts.Algorithm != core.AlgPairSampling && opts.Algorithm != core.AlgBudgeted
-}
-
-// StoreResult records a converged run at eps for its key, keeping only the
-// tightest ε per key (a smaller ε dominates strictly more requests). The
-// caller passes effective (defaulted) values so lookups with explicit and
-// implicit defaults land on the same key.
-func (e *Entry) StoreResult(key resultKey, eps float64, res wire.Result) {
-	// Traces are per-request decoration, not part of the dominance
-	// contract; strip them so a degraded answer to a no-trace request
-	// doesn't smuggle one in.
-	res.Trace = nil
-	e.resMu.Lock()
-	defer e.resMu.Unlock()
-	if cur, ok := e.results[key]; ok && cur.epsilon <= eps {
-		return
-	}
-	e.results[key] = cachedResult{epsilon: eps, res: res}
-}
-
-// Dominating returns a cached converged result that ε-dominates a request
-// at eps — same key (including graph version), cached ε ≤ requested ε — or
-// ok false. It backs both the first-class reuse path (freshness "any") and
-// graceful degradation when the scheduler sheds the run.
-func (e *Entry) Dominating(key resultKey, eps float64) (wire.Result, float64, bool) {
-	e.resMu.Lock()
-	defer e.resMu.Unlock()
-	c, ok := e.results[key]
-	if !ok || c.epsilon > eps {
-		return wire.Result{}, 0, false
-	}
-	return c.res, c.epsilon, true
 }
 
 // buildSet mirrors the solver's default sampler choice (weighted →

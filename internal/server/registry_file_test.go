@@ -34,7 +34,7 @@ func writeCSRGraph(t *testing.T, seed uint64) string {
 func TestRegistryFileBackedEvictionDuringSolve(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		m := &obs.Metrics{}
-		r := NewRegistry(1, m)
+		r := NewRegistry(1, 0, m)
 		fg, err := graph.OpenCSR(writeCSRGraph(t, uint64(round+1)))
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ func testGraph(t *testing.T, seed uint64) *graph.Graph {
 
 func TestRegistryLRUEviction(t *testing.T) {
 	m := &obs.Metrics{}
-	r := NewRegistry(2, m)
+	r := NewRegistry(2, 0, m)
 	for _, name := range []string{"a", "b"} {
 		if _, err := r.Add(name, "", testGraph(t, 1)); err != nil {
 			t.Fatal(err)
@@ -49,7 +49,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 }
 
 func TestRegistryDuplicateAndRemove(t *testing.T) {
-	r := NewRegistry(4, nil)
+	r := NewRegistry(4, 0, nil)
 	if _, err := r.Add("g", "", testGraph(t, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRegistryDuplicateAndRemove(t *testing.T) {
 }
 
 func TestRegistryListSorted(t *testing.T) {
-	r := NewRegistry(8, nil)
+	r := NewRegistry(8, 0, nil)
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		if _, err := r.Add(name, "", testGraph(t, 1)); err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func stripElapsed(r *core.Result) core.Result {
 }
 
 // TestEntrySolveWarmReuse is the registry's core guarantee: a repeated
-// query reuses the entry's warm sample sets (counted as registry hits) and
+// query reuses its sample family's sets (counted as registry hits) and
 // still returns a result bit-identical to a cold run.
 func TestEntrySolveWarmReuse(t *testing.T) {
 	g := testGraph(t, 3)
@@ -105,7 +105,7 @@ func TestEntrySolveWarmReuse(t *testing.T) {
 	}
 
 	m := &obs.Metrics{}
-	r := NewRegistry(2, m)
+	r := NewRegistry(2, 0, m)
 	e, err := r.Add("g", "", g)
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +143,12 @@ func TestEntrySolveWarmReuse(t *testing.T) {
 	}
 }
 
-// TestEntrySolveSeedsIsolated: different seeds must not share warm sets.
+// TestEntrySolveSeedsIsolated: different seeds are different families and
+// must not share sets.
 func TestEntrySolveSeedsIsolated(t *testing.T) {
 	g := testGraph(t, 3)
 	m := &obs.Metrics{}
-	r := NewRegistry(2, m)
+	r := NewRegistry(2, 0, m)
 	e, _ := r.Add("g", "", g)
 
 	if _, _, err := e.Solve(context.Background(), core.Options{K: 4, Seed: 1}, m); err != nil {
@@ -167,11 +168,11 @@ func TestEntrySolveSeedsIsolated(t *testing.T) {
 }
 
 // TestEntrySolveUncacheable: algorithms that construct their own sets (and
-// runs with caller-supplied RNG) must bypass the warm cache entirely.
+// runs with caller-supplied RNG) must bypass the family sets entirely.
 func TestEntrySolveUncacheable(t *testing.T) {
 	g := testGraph(t, 3)
 	m := &obs.Metrics{}
-	r := NewRegistry(2, m)
+	r := NewRegistry(2, 0, m)
 	e, _ := r.Add("g", "", g)
 
 	if _, _, err := e.Solve(context.Background(), core.Options{

@@ -295,13 +295,14 @@ func TestSchedulerShutdownStress(t *testing.T) {
 	}
 }
 
-// TestFlightGroupCoalesces pins exact coalescing with controlled timing:
-// one leader blocks inside fn while N-1 joiners arrive, so all share one
-// execution and the coalesced counter advances by exactly N-1.
+// TestFlightGroupCoalesces pins exact coalescing on a family's in-flight
+// runs with controlled timing: one leader blocks inside fn while N-1
+// joiners arrive, so all share one execution and the coalesced counter
+// advances by exactly N-1.
 func TestFlightGroupCoalesces(t *testing.T) {
-	f := newFlightGroup()
+	f := &family{}
 	m := &obs.Metrics{}
-	key := flightKey{graph: "g", k: 3, seed: 1}
+	key := runKey{version: 1, k: 3, epsilon: 0.3, gamma: 0.01}
 
 	var runs atomic.Int64
 	inFn := make(chan struct{})

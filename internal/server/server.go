@@ -29,6 +29,11 @@ import (
 type Config struct {
 	// MaxGraphs bounds the registry LRU (default 16).
 	MaxGraphs int
+	// SampleBytes bounds the bytes every graph's sample families retain
+	// together — stored samples plus memo bookkeeping (default 256 MiB).
+	// Beyond it the least recently used idle families are dropped, and
+	// their next request draws its samples again.
+	SampleBytes int64
 	// Workers is the number of concurrent solver runs (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the pending-request FIFO (default 64); beyond it
@@ -124,15 +129,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the gbcd serving subsystem: registry + scheduler + single
-// flight behind an HTTP/JSON API. Create with New, mount Handler, drain
-// with Shutdown.
+// Server is the gbcd serving subsystem: registry (with its sample
+// families) + scheduler behind an HTTP/JSON API. Create with New, mount
+// Handler, drain with Shutdown.
 type Server struct {
 	cfg     Config
 	metrics *obs.Metrics
 	reg     *Registry
 	sched   *Scheduler
-	flight  *flightGroup
 	tenants *tenantLimiter
 	cluster *shard.Cluster // non-nil when serving as a coordinator
 	mux     *http.ServeMux
@@ -144,14 +148,13 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		metrics: cfg.Metrics,
-		reg:     NewRegistry(cfg.MaxGraphs, cfg.Metrics),
+		reg:     NewRegistry(cfg.MaxGraphs, cfg.SampleBytes, cfg.Metrics),
 		sched: NewScheduler(SchedulerConfig{
 			Workers: cfg.Workers, Depth: cfg.QueueDepth,
 			FastWorkers: cfg.FastLaneWorkers, FastDepth: cfg.FastLaneDepth,
 			MaxCost: cfg.MaxCost, Weights: cfg.TenantWeights,
 			Metrics: cfg.Metrics,
 		}),
-		flight:  newFlightGroup(),
 		tenants: newTenantLimiter(cfg.TenantRPS, cfg.TenantBurst),
 	}
 	if len(cfg.Shards) > 0 {
@@ -271,7 +274,9 @@ func infoFor(e *Entry) graphInfo {
 }
 
 // graphDetail is the body of GET /v1/graphs/{name}: the listing line plus
-// the version history and the entry's warm-state footprint.
+// the version history and what the entry keeps from past runs — its
+// sample families and their memoized answers (the field names predate
+// families).
 type graphDetail struct {
 	graphInfo
 	Versions      []versionInfo `json:"versions"`
@@ -463,8 +468,8 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, graphDetail{
 		graphInfo:     infoFor(e),
 		Versions:      e.Versions(),
-		WarmSets:      e.WarmSetCount(),
-		CachedResults: e.CachedResultCount(),
+		WarmSets:      e.FamilyCount(),
+		CachedResults: e.MemoCount(),
 	})
 }
 
@@ -579,11 +584,10 @@ type topkRequest struct {
 	// Trace includes the per-iteration trace in the response.
 	Trace bool `json:"trace,omitempty"`
 	// Freshness is "any" (the default) or "exact". "any" lets the server
-	// answer from the ε-dominance result cache when a converged run on the
-	// current graph version already dominates the request — no scheduler
-	// slot, servedFrom "cache". "exact" demands a fresh solve. Trace
-	// requests never serve from the cache (cached results are
-	// trace-stripped).
+	// answer from the family's memo when a converged run on the current
+	// graph version already dominates the request — no scheduler slot,
+	// servedFrom "cache". "exact" demands a solve. Trace requests never
+	// serve from the memo (memo answers are trace-stripped).
 	Freshness string `json:"freshness,omitempty"`
 }
 
@@ -593,9 +597,10 @@ type topkResponse struct {
 	Graph string `json:"graph"`
 	// GraphVersion is the graph version the result was computed on.
 	GraphVersion int `json:"graphVersion"`
-	// ServedFrom says how the answer was produced: "solve" (a fresh run),
-	// "cache" (the ε-dominance result cache), or "coalesced" (shared a
-	// concurrent identical run).
+	// ServedFrom says how the answer was produced: "solve" (a run, which
+	// draws only the samples no earlier run on its family drew), "cache"
+	// (the family's memo of converged answers, under ε-dominance), or
+	// "coalesced" (shared a concurrent identical run).
 	ServedFrom string `json:"servedFrom"`
 	// TimeoutMillis is the effective deadline the run was held to.
 	TimeoutMillis int64 `json:"timeoutMillis"`
@@ -687,15 +692,15 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	g := entry.Graph()
 	cost := EstimateCost(g.N(), g.M(), opts)
 	ver := entry.CurrentVersion()
-	rk := resultKeyFor(opts, ver)
+	fk, mk := familyKeyFor(opts), memoKeyFor(opts, ver)
 
-	// First-class result reuse: unless the client demanded a fresh solve,
-	// a cached converged run on the current graph version that ε-dominates
-	// the request answers immediately — no scheduler slot, no tenant
-	// token, no solve. The version in the key guarantees a patched graph
-	// never answers from a stale result.
+	// First-class answer reuse: unless the client demanded a solve, a
+	// memoized converged run on the current graph version that
+	// ε-dominates the request answers immediately — no scheduler slot, no
+	// tenant token, no solve. The version in the key guarantees a patched
+	// graph never answers from a stale result.
 	if req.Freshness != "exact" && !req.Trace {
-		if cached, _, ok := entry.Dominating(rk, effectiveEpsilon(opts)); ok {
+		if cached, _, ok := entry.Dominating(fk, mk, effectiveEpsilon(opts)); ok {
 			s.metrics.ResultCacheHit()
 			s.metrics.RequestCompleted()
 			writeJSON(w, http.StatusOK, topkResponse{
@@ -708,19 +713,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if ok, wait := s.tenants.allow(tenant, time.Now()); !ok {
-		s.shedOrDegrade(w, entry, rk, opts, timeout, req.Graph, wait,
+		s.shedOrDegrade(w, entry, fk, mk, opts, timeout, req.Graph, wait,
 			fmt.Sprintf("server: tenant %q over its request quota", tenant),
 			http.StatusTooManyRequests)
 		return
 	}
 
-	key := flightKey{
-		graph: req.Graph, version: ver, algorithm: alg, k: req.K,
-		epsilon: req.Epsilon, gamma: req.Gamma, seed: req.Seed,
-		forward: req.Forward, trace: req.Trace,
-	}
-	res, shared := s.flight.do(key, s.metrics, func() flightResult {
-		return s.runTopK(entry, opts, timeout, req.Graph, Job{
+	// The family is held until the response is written, so the byte
+	// budget never evicts it under this request or its waiters.
+	fam := entry.acquireFamily(fk)
+	defer entry.releaseFamily(fam)
+	res, shared := fam.do(runKeyFor(opts, ver), s.metrics, func() flightResult {
+		return s.runTopK(entry, fam, opts, timeout, req.Graph, Job{
 			Tenant: tenant, Cost: cost,
 			FastLane: cost <= s.cfg.FastLaneThreshold,
 		})
@@ -728,10 +732,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if res.err != nil {
 		switch {
 		case errors.Is(res.err, ErrQueueFull) || errors.Is(res.err, ErrOverCapacity):
-			s.shedOrDegrade(w, entry, rk, opts, timeout, req.Graph,
+			s.shedOrDegrade(w, entry, fk, mk, opts, timeout, req.Graph,
 				s.sched.RetryAfter(), res.err.Error(), http.StatusTooManyRequests)
 		case errors.Is(res.err, ErrDraining):
-			s.shedOrDegrade(w, entry, rk, opts, timeout, req.Graph,
+			s.shedOrDegrade(w, entry, fk, mk, opts, timeout, req.Graph,
 				0, res.err.Error(), http.StatusServiceUnavailable)
 		default:
 			s.metrics.RequestFailed()
@@ -756,22 +760,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res.status, resp)
 }
 
-// resultKeyFor derives the ε-dominance cache key from a run's options and
-// the graph version it targets, normalizing defaulted fields so explicit
-// and implicit defaults share an entry (Seed 0 solves as 1 —
-// Options.withDefaults).
-func resultKeyFor(opts core.Options, version int) resultKey {
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return resultKey{
-		algorithm: opts.Algorithm, k: opts.K, seed: seed,
-		forward: opts.UseForwardSampler, version: version,
-	}
-}
-
-// effectiveEpsilon mirrors Options.withDefaults for the dominance rule.
+// effectiveEpsilon and effectiveGamma mirror Options.withDefaults for the
+// memo and in-flight keys, so explicit and implicit defaults share them.
 func effectiveEpsilon(opts core.Options) float64 {
 	if opts.Epsilon == 0 {
 		return 0.3
@@ -779,21 +769,28 @@ func effectiveEpsilon(opts core.Options) float64 {
 	return opts.Epsilon
 }
 
+func effectiveGamma(opts core.Options) float64 {
+	if opts.Gamma == 0 {
+		return 0.01
+	}
+	return opts.Gamma
+}
+
 // shedOrDegrade answers a request the scheduler refused to run. Preference
-// order: a cached converged result at ε' ≤ the requested ε answers with
+// order: a memoized converged result at ε' ≤ the requested ε answers with
 // 200 and "degraded":true — the client gets an answer that satisfies its
 // error bound, just not a freshly computed one. Otherwise the shed
 // surfaces as the given status (429 or 503) with a Retry-After hint.
 // Either way the request counts as shed; a degraded answer additionally
 // counts on the degraded counter.
-func (s *Server) shedOrDegrade(w http.ResponseWriter, entry *Entry, rk resultKey,
+func (s *Server) shedOrDegrade(w http.ResponseWriter, entry *Entry, fk familyKey, mk memoKey,
 	opts core.Options, timeout time.Duration, graphName string,
 	retryAfter time.Duration, msg string, status int) {
 	s.metrics.RequestShed()
-	if cached, eps, ok := entry.Dominating(rk, effectiveEpsilon(opts)); ok {
+	if cached, eps, ok := entry.Dominating(fk, mk, effectiveEpsilon(opts)); ok {
 		s.metrics.RequestDegraded()
 		writeJSON(w, http.StatusOK, topkResponse{
-			Graph: graphName, GraphVersion: rk.version, ServedFrom: "cache",
+			Graph: graphName, GraphVersion: mk.version, ServedFrom: "cache",
 			TimeoutMillis: timeout.Milliseconds(),
 			Degraded:      true, DegradedEpsilon: eps,
 			Result: cached,
@@ -807,14 +804,15 @@ func (s *Server) shedOrDegrade(w http.ResponseWriter, entry *Entry, rk resultKey
 	writeError(w, status, msg, "")
 }
 
-// runTopK executes one (possibly shared) solver run through the scheduler
-// and renders its response body once, so coalesced waiters all send the
-// same bytes. The run's context is detached from any single client: a
-// waiter disconnecting must not cancel a run others share. Deadlines cover
-// queue wait plus solve time — admission control should surface as 429s
-// and partial results, not unbounded latency. A converged run feeds the
-// ε-dominance cache that backs graceful degradation under overload.
-func (s *Server) runTopK(entry *Entry, opts core.Options, timeout time.Duration, graphName string, job Job) flightResult {
+// runTopK executes one (possibly shared) solver run on fam through the
+// scheduler and renders its response body once, so coalesced waiters all
+// send the same bytes. The run's context is detached from any single
+// client: a waiter disconnecting must not cancel a run others share.
+// Deadlines cover queue wait plus solve time — admission control should
+// surface as 429s and partial results, not unbounded latency. A converged
+// run enters the family's memo, which also backs graceful degradation
+// under overload.
+func (s *Server) runTopK(entry *Entry, fam *family, opts core.Options, timeout time.Duration, graphName string, job Job) flightResult {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	var res *core.Result
@@ -838,8 +836,8 @@ func (s *Server) runTopK(entry *Entry, opts core.Options, timeout time.Duration,
 	if res.StopReason == core.StopConverged {
 		// Keyed under the version the solve actually observed — a patch
 		// landing between admission and solve must not poison the new
-		// version's cache with a pre-admission key, nor vice versa.
-		entry.StoreResult(resultKeyFor(opts, solvedVer), effectiveEpsilon(opts), wres)
+		// version's memo with a pre-admission key, nor vice versa.
+		fam.store(memoKeyFor(opts, solvedVer), effectiveEpsilon(opts), wres)
 	}
 	return flightResult{
 		resp: &topkResponse{

@@ -151,15 +151,15 @@ func TestTopKValidation(t *testing.T) {
 }
 
 // TestTopKWarmReuse is the serving acceptance test: a second identical
-// query against the same graph reuses the warm sampling sets (registry-hit
-// metric moves) and returns the same result.
+// query against the same graph reuses its sample family's sets
+// (registry-hit metric moves) and returns the same result.
 func TestTopKWarmReuse(t *testing.T) {
 	_, ts, m := newTestServer(t, Config{})
 	addGeneratedGraph(t, ts.URL, "g", 600)
 
-	// freshness "exact" forces a fresh solve on both runs; the default
-	// "any" would answer the repeat from the result cache without ever
-	// touching the warm sets (see TestTopKServedFromCache).
+	// freshness "exact" forces a solve on both runs; the default "any"
+	// would answer the repeat from the family's memo without ever touching
+	// its sets (see TestTopKServedFromCache).
 	req := map[string]any{"graph": "g", "k": 5, "seed": 7, "freshness": "exact"}
 	status, body1 := post(t, ts.URL+"/v1/topk", req)
 	if status != http.StatusOK {
@@ -600,7 +600,7 @@ func jsonBody(t *testing.T, v any) *bytes.Reader {
 }
 
 // TestTopKForwardSampler: the forward-ablation flag routes through and
-// keeps its own warm-set namespace.
+// is a family of its own.
 func TestTopKForwardSampler(t *testing.T) {
 	_, ts, m := newTestServer(t, Config{})
 	addGeneratedGraph(t, ts.URL, "g", 600)

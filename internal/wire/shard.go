@@ -167,6 +167,12 @@ func DecodeArenaPayload(data []byte) (*ArenaPayload, error) {
 	if p.Start < 0 || p.Count < 0 || nodesLen < 0 || obsLen < 0 {
 		return nil, fmt.Errorf("wire: arena payload has negative section descriptor")
 	}
+	// Bound each section by the body before summing them: a descriptor
+	// near 2^62 would otherwise wrap the byte count below and slip a
+	// huge allocation past the length check.
+	if body := (len(data) - arenaHeaderSize) / 4; p.Count >= body || nodesLen > body || obsLen > body {
+		return nil, fmt.Errorf("wire: arena payload section descriptors exceed its %d bytes", len(data))
+	}
 	want := arenaHeaderSize + 4*((p.Count+1)+nodesLen+obsLen)
 	if len(data) != want {
 		return nil, fmt.Errorf("wire: arena payload is %d bytes, header describes %d", len(data), want)

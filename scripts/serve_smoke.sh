@@ -67,13 +67,22 @@ for key in '"graph":"smoke"' '"algorithm":"AdaAlg"' '"k":10' '"group":\[' \
     grep -q "$key" "$TMP/topk.json" || fail "topk response missing $key: $(cat "$TMP/topk.json")"
 done
 
-# A repeat of the same query must be served from the warm registry entry.
+# A plain repeat of a converged query is answered from its family's memo.
 curl -fsS -X POST "$URL/v1/topk" \
-    -d '{"graph":"smoke","k":10,"epsilon":0.2,"seed":1}' >/dev/null \
-    || fail "repeated topk query failed"
+    -d '{"graph":"smoke","k":10,"epsilon":0.2,"seed":1}' \
+    >"$TMP/repeat.json" || fail "repeated topk query failed"
+grep -q '"servedFrom":"cache"' "$TMP/repeat.json" \
+    || fail "repeated query was not served from the memo: $(cat "$TMP/repeat.json")"
+
+# An exact-freshness repeat solves again on the family's stored samples.
+curl -fsS -X POST "$URL/v1/topk" \
+    -d '{"graph":"smoke","k":10,"epsilon":0.2,"seed":1,"freshness":"exact"}' \
+    >"$TMP/exact.json" || fail "exact repeat topk query failed"
+grep -q '"servedFrom":"solve"' "$TMP/exact.json" \
+    || fail "exact repeat did not solve: $(cat "$TMP/exact.json")"
 curl -fsS "$URL/v1/stats" >"$TMP/stats.json" || fail "stats unreachable"
 grep -q '"registryHits":[1-9]' "$TMP/stats.json" \
-    || fail "repeated query did not hit the warm registry: $(cat "$TMP/stats.json")"
+    || fail "exact repeat did not reuse the family's sample sets: $(cat "$TMP/stats.json")"
 grep -q '"requestsCompleted":[1-9]' "$TMP/stats.json" \
     || fail "overload accounting did not count the completed runs: $(cat "$TMP/stats.json")"
 

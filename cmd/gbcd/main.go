@@ -24,8 +24,9 @@
 // results, then the process exits.
 //
 // gbcd also scales out horizontally: -shard runs the process as a shard
-// worker (it opens .gbcsr graphs from shared storage on demand and answers
-// epoch draw requests over the frozen shard wire protocol), and -shards
+// worker (it opens .gbcsr graphs under -shard-root, default the working
+// directory, on demand and answers epoch draw requests over the frozen
+// shard wire protocol), and -shards
 // turns a normal daemon into a coordinator that dispatches sample growth
 // for .gbcsr-path graphs across those workers — deterministic responses
 // stay bit-identical to a single-node solve.
@@ -79,6 +80,7 @@ type config struct {
 	addr       string
 	drainGrace time.Duration
 	shardMode  bool
+	shardRoot  string
 	shards     string
 	server     server.Config
 }
@@ -99,6 +101,7 @@ func parseFlags(args []string, onError flag.ErrorHandling) config {
 	fs.Float64Var(&cfg.server.TenantRPS, "tenant-rps", 0, "per-tenant /v1/topk requests per second, keyed on the X-Tenant header (0 = unlimited)")
 	fs.Int64Var(&cfg.server.MaxBodyBytes, "max-body", 0, "request body size limit for non-upload endpoints (0 = 1 MiB)")
 	fs.BoolVar(&cfg.shardMode, "shard", false, "run as a shard worker: serve epoch draw requests over the shard wire protocol instead of the full API")
+	fs.StringVar(&cfg.shardRoot, "shard-root", ".", "shard worker only: the directory whose .gbcsr files epoch requests may open; any path resolving outside it is refused")
 	fs.StringVar(&cfg.shards, "shards", "", "comma-separated shard-worker base URLs; non-empty makes this daemon a coordinator that dispatches sample growth for .gbcsr-path graphs across them")
 	fs.DurationVar(&cfg.server.ShardEpochTimeout, "shard-epoch-timeout", 0, "per-epoch deadline on one shard worker before its range is reassigned (0 = 30s)")
 	fs.Parse(args)
@@ -159,12 +162,15 @@ func run(ctx context.Context, cfg config, ready func(url string)) error {
 }
 
 // runShard serves the shard-worker surface: epoch draw requests against
-// .gbcsr graphs the worker opens from its filesystem on first use. A
+// .gbcsr graphs the worker opens from under -shard-root on first use. A
 // worker holds no solver state — losing one mid-run only reassigns its
 // index ranges — so its drain is just closing the listener in-flight
 // requests included, then unmapping the resident graphs.
 func runShard(ctx context.Context, cfg config, ready func(url string)) error {
-	worker := shard.NewWorker(obs.Published(), true)
+	worker := shard.NewWorker(obs.Published(), false)
+	if err := worker.SetRoot(cfg.shardRoot); err != nil {
+		return err
+	}
 	defer worker.Close()
 
 	ln, err := net.Listen("tcp", cfg.addr)

@@ -73,6 +73,7 @@ type Metrics struct {
 	// Parallel-execution counter (PR 8): the time sampling lanes spend not
 	// sampling — waiting at the chunk barrier for a straggling sibling.
 	samplerIdleNanos atomic.Int64 // cumulative lane wait at chunk barriers
+	helperLanes      atomic.Int64 // extra lanes a lane budget granted, summed over chunks
 
 	// Dynamic-graph counters (PR 9): graph versions created by PATCH,
 	// incremental sample repairs, and results served straight from the
@@ -127,6 +128,15 @@ func (m *Metrics) AddSamplerIdle(nanos int64) {
 		return
 	}
 	m.samplerIdleNanos.Add(nanos)
+}
+
+// AddHelperLanes counts the extra lanes a lane budget granted one chunk
+// beyond the growing set's own.
+func (m *Metrics) AddHelperLanes(n int) {
+	if m == nil {
+		return
+	}
+	m.helperLanes.Add(int64(n))
 }
 
 // AddSamples records one committed growth chunk of n drawn samples, nulls
@@ -408,6 +418,7 @@ type Stats struct {
 	RegistryFileLoads int64 `json:"registryFileLoads"`
 
 	SamplerIdleNanos int64 `json:"samplerIdleNanos"`
+	HelperLanes      int64 `json:"helperLanes"`
 
 	GraphPatches    int64 `json:"graphPatches"`
 	RepairRuns      int64 `json:"repairRuns"`
@@ -461,6 +472,7 @@ func (m *Metrics) Snapshot() Stats {
 		RegistryFileLoads: m.registryFileLoads.Load(),
 
 		SamplerIdleNanos: m.samplerIdleNanos.Load(),
+		HelperLanes:      m.helperLanes.Load(),
 
 		GraphPatches:    m.graphPatches.Load(),
 		RepairRuns:      m.repairRuns.Load(),

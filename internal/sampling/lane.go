@@ -3,10 +3,11 @@
 // A lane owns everything one goroutine needs to draw samples with zero
 // steady-state heap allocations: a sampler (O(n) workspace), one reusable
 // RNG value reseeded per sample index, and a flat path arena the sampled
-// nodes are appended into. The Set keeps its lanes for its whole lifetime;
-// goroutines do not outlive a chunk. Each chunk draws lane 0 on the calling
-// goroutine and lanes 1..W-1 on goroutines started for that chunk and
-// joined before it commits (see Set.growLocal).
+// nodes are appended into. The Set keeps its lanes between growths — a set
+// drawing under a LaneBudget, which shares lanes between sets, keeps only
+// lane 0 — and goroutines do not outlive a chunk. Each chunk draws lane 0
+// on the calling goroutine and lanes 1..W-1 on goroutines started for that
+// chunk and joined before it commits (see Set.growLocal).
 package sampling
 
 import (
@@ -78,6 +79,53 @@ func (d *drawState) drawInto(arena *coverage.PathArena, i int) {
 
 // draw is drawInto targeting the state's own arena.
 func (d *drawState) draw(i int) { d.drawInto(&d.arena, i) }
+
+// LaneBudget is a pool of drawing-lane tokens shared by every Set that
+// holds it — a server sizes one at GOMAXPROCS so concurrent solves split
+// the cores between them. At each chunk a set counts its own lane, which
+// it always gets, and claims one more token only while any is free; it
+// never waits for one. Lanes granted for a chunk return when the chunk
+// joins, so the lane count may change from chunk to chunk. Sample content
+// is index-pure and lane blocks merge in index order, so it never moves an
+// answer. All methods are safe for concurrent use.
+type LaneBudget struct {
+	size  int64
+	inUse atomic.Int64
+}
+
+// NewLaneBudget returns a budget of n lane tokens (at least one).
+func NewLaneBudget(n int) *LaneBudget {
+	return &LaneBudget{size: int64(max(n, 1))}
+}
+
+// InUse reports the lanes drawing under the budget right now, own lanes
+// included; an idle budget reports 0.
+func (b *LaneBudget) InUse() int { return int(b.inUse.Load()) }
+
+// claim counts the caller's own lane, then takes free tokens one at a time
+// until the budget is spent or limit lanes are held (limit < 1 = no
+// limit). It returns the lanes held, own lane included.
+func (b *LaneBudget) claim(limit int) int {
+	b.inUse.Add(1)
+	lanes := 1
+	for limit < 1 || lanes < limit {
+		used := b.inUse.Load()
+		if used >= b.size {
+			break
+		}
+		if b.inUse.CompareAndSwap(used, used+1) {
+			lanes++
+		}
+	}
+	return lanes
+}
+
+// release returns lanes claimed by claim. A nil budget ignores it.
+func (b *LaneBudget) release(lanes int) {
+	if b != nil {
+		b.inUse.Add(-int64(lanes))
+	}
+}
 
 // lane is one worker's draw state plus what its latest share of a chunk
 // reported: start and end times (monotonic-clock readings that feed EWMA

@@ -104,8 +104,15 @@ type Set struct {
 
 	// Workers sets the number of lanes GrowTo draws on. Values < 2, or a
 	// Set built around a caller-supplied single sampler, draw on the
-	// calling goroutine alone. The result is identical either way.
+	// calling goroutine alone. With a Budget it caps the lanes a chunk may
+	// claim instead (< 1 = no cap). The result is identical either way.
 	Workers int
+
+	// Budget, when non-nil, sizes each chunk from a shared LaneBudget
+	// instead of Workers: the chunk draws on the set's own lane plus the
+	// tokens free when it starts. Granted lanes are dropped when growth
+	// returns, so a set kept between solves holds only lane 0.
+	Budget *LaneBudget
 
 	// Remote, when non-nil, delegates all sample drawing to an external
 	// grower (the shard coordinator of sharded serving) and takes
@@ -205,8 +212,8 @@ func newSet(g *graph.Graph, r *xrand.Rand, sampler PairSampler) *Set {
 	return s
 }
 
-// addLane appends a lane drawing with sampler. Lanes are only ever added —
-// lowering Workers just leaves the extra ones idle.
+// addLane appends a lane drawing with sampler. Without a Budget lanes are
+// only ever added — lowering Workers just leaves the extra ones idle.
 func (s *Set) addLane(sampler PairSampler) {
 	l := &lane{}
 	l.init(s.g.N(), s.seed0, s.seed1, sampler)
@@ -243,12 +250,15 @@ func (s *Set) GrowTo(L int) {
 // identical to a one-lane run of the same length — and ctx.Err() is
 // returned. A panic while drawing is recovered and returned as a
 // *PanicError instead of crashing the process; sibling lanes stop
-// promptly. Every goroutine GrowToCtx starts has exited by the time it
-// returns.
+// promptly. Every goroutine GrowToCtx starts has exited, and every lane
+// token it claimed is back in the Budget, by the time it returns.
 func (s *Set) GrowToCtx(ctx context.Context, L int) error {
 	cur := s.cov.Len()
 	if L <= cur {
 		return nil
+	}
+	if s.Budget != nil {
+		defer s.dropGrantedLanes()
 	}
 	for cur < L {
 		if err := ctx.Err(); err != nil {
@@ -308,23 +318,20 @@ func (s *Set) updateArenaGauge() {
 	s.lastFootprint = fp
 }
 
-// growLocal draws indices [cur, end) on Workers lanes (one for a set
-// without a sampler factory) — lane w takes one contiguous block of the
-// range, sized by its smoothed draw-cost EWMA so a straggling lane gets a
-// smaller share instead of idling its siblings at the chunk barrier — and
-// then bulk-appends the lane arenas into the coverage arena in lane
-// (= index) order, matching a one-lane growth exactly (each index's RNG
-// stream depends only on the index, so who draws it never matters). Lane 0
-// runs on the calling goroutine, the others on goroutines joined before
-// anything commits. The chunk commits all-or-nothing: when a lane stops
-// early on cancellation or a panic nothing is appended and each lane
-// resets its arena at its next share, so the Set never holds a partially
-// drawn chunk.
+// growLocal draws indices [cur, end) on chunkLanes lanes — lane w takes
+// one contiguous block of the range, sized by its smoothed draw-cost EWMA
+// so a straggling lane gets a smaller share instead of idling its siblings
+// at the chunk barrier — and then bulk-appends the lane arenas into the
+// coverage arena in lane (= index) order, matching a one-lane growth
+// exactly (each index's RNG stream depends only on the index, so who draws
+// it never matters). Lane 0 runs on the calling goroutine, the others on
+// goroutines joined before anything commits; budget tokens go back on
+// return. The chunk commits all-or-nothing: when a lane stops early on
+// cancellation or a panic nothing is appended and each lane resets its
+// arena at its next share, so the Set never holds a partially drawn chunk.
 func (s *Set) growLocal(ctx context.Context, cur, end int) error {
-	lanes := 1
-	if s.Workers > 1 && s.newSampler != nil {
-		lanes = s.Workers
-	}
+	lanes := s.chunkLanes()
+	defer s.Budget.release(lanes)
 	for len(s.lanes) < lanes {
 		s.addLane(s.newSampler())
 	}
@@ -390,6 +397,34 @@ func (s *Set) growLocal(ctx context.Context, cur, end int) error {
 		s.obs = append(s.obs, a.Obs...)
 	}
 	return nil
+}
+
+// chunkLanes returns how many lanes the next chunk draws on: Workers, or
+// with a Budget the set's own lane plus the tokens it grants, capped at
+// Workers. A set without a sampler factory always draws on one lane.
+func (s *Set) chunkLanes() int {
+	want := 1
+	if s.newSampler != nil {
+		want = s.Workers
+	}
+	if s.Budget == nil {
+		return max(want, 1)
+	}
+	lanes := s.Budget.claim(want)
+	if lanes > 1 {
+		s.Metrics.AddHelperLanes(lanes - 1)
+	}
+	return lanes
+}
+
+// dropGrantedLanes forgets every lane but lane 0, so a budgeted set kept
+// between growths does not retain the samplers and arenas of lanes it
+// borrowed.
+func (s *Set) dropGrantedLanes() {
+	clear(s.lanes[1:])
+	s.lanes = s.lanes[:1]
+	clear(s.arenas[1:])
+	s.arenas = s.arenas[:1]
 }
 
 // runLane is the body of a lane goroutine started by growLocal.

@@ -40,8 +40,9 @@ import (
 //   - partial results are honest (never claim convergence);
 //   - the overload accounting balances exactly
 //     (admitted == completed + shed + failed, degraded ⊆ shed);
-//   - nothing wedges: queue empty, no busy workers or active runs, and
-//     goroutines return to baseline.
+//   - nothing wedges: queue empty, no busy workers or active runs, every
+//     lane token back in the server's budget, and goroutines return to
+//     baseline.
 //
 // Run under -race for the full effect (make chaos does).
 func TestChaos(t *testing.T) {
@@ -282,6 +283,11 @@ func TestChaos(t *testing.T) {
 	if st.QueueDepth != 0 || st.ActiveRuns != 0 || st.BusyWorkers != 0 {
 		t.Errorf("wedged state after shutdown: queue=%d active=%d busy=%d",
 			st.QueueDepth, st.ActiveRuns, st.BusyWorkers)
+	}
+	// Chunk panics and stragglers end growth on every path a lane budget
+	// must survive; a leaked token would shrink every later solve.
+	if n := s.reg.lanes.InUse(); n != 0 {
+		t.Errorf("lane budget not idle after traffic stopped: %d lanes in use", n)
 	}
 
 	// Goroutine accounting: sample growth joins its lane goroutines before

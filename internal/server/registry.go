@@ -11,6 +11,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -42,6 +43,11 @@ type Registry struct {
 	famLRU    *list.List // of *family, front = most recently used
 	famBytes  int64
 	famBudget int64
+
+	// lanes is the server's lane budget, GOMAXPROCS tokens that every
+	// family set draws under: a solve grows on its own lane plus whatever
+	// cores no other solve is drawing on (sampling.LaneBudget).
+	lanes *sampling.LaneBudget
 }
 
 // version is one immutable snapshot of an entry's graph. A PATCH produces
@@ -196,6 +202,7 @@ func NewRegistry(max int, sampleBytes int64, m *obs.Metrics) *Registry {
 		order:     list.New(),
 		famLRU:    list.New(),
 		famBudget: sampleBytes,
+		lanes:     sampling.NewLaneBudget(runtime.GOMAXPROCS(0)),
 	}
 }
 
@@ -554,21 +561,24 @@ func (e *Entry) Solve(ctx context.Context, opts core.Options, metrics *obs.Metri
 	if e.Shard != nil && e.ShardKey != "" && v.num == 1 {
 		remote = e.Shard.Grower(e.ShardKey, samplerKind(v.g, f.key.forward))
 	}
+	// Every set draws under the server's lane budget; the solver then sets
+	// the request's workers as the cap on lanes per chunk.
 	calls := 0
 	opts.SamplerSet = func(g *graph.Graph, r *xrand.Rand) *sampling.Set {
 		slot := calls
 		calls++
+		var s *sampling.Set
 		if slot < len(f.sets) {
 			metrics.RegistryHit()
-			s := f.sets[slot]
+			s = f.sets[slot]
 			s.Reset()
-			s.Remote = remote
-			return s
+		} else {
+			metrics.RegistryMiss()
+			s = buildSet(g, r, f.key.forward)
+			f.sets = append(f.sets, s)
 		}
-		metrics.RegistryMiss()
-		s := buildSet(g, r, f.key.forward)
 		s.Remote = remote
-		f.sets = append(f.sets, s)
+		s.Budget = e.reg.lanes
 		return s
 	}
 	res, err := core.Solve(ctx, v.g, opts)

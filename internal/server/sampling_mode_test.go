@@ -33,9 +33,10 @@ func sameAnswer(t *testing.T, what string, got, want wire.Result) {
 }
 
 // TestTopKSamplingMode pins the /v1/topk sampling surface: every answer
-// reports samplingMode "deterministic"; "fast", a deprecated alias, is
-// answered deterministically and shares the plain request's cache entry;
-// any other mode is a typed 400 naming the field.
+// reports samplingMode "deterministic", and naming it explicitly is the
+// same request as leaving it out (it shares the plain request's cache
+// entry). Any other mode, "fast" included, is a typed 400 naming the
+// field.
 func TestTopKSamplingMode(t *testing.T) {
 	_, ts, m := newTestServer(t, Config{})
 	addGeneratedGraph(t, ts.URL, "g", 600)
@@ -45,25 +46,19 @@ func TestTopKSamplingMode(t *testing.T) {
 		t.Fatalf("plain request: servedFrom %q, samplingMode %q", plain.ServedFrom, plain.Result.SamplingMode)
 	}
 
-	fast := topk(t, ts.URL, map[string]any{"graph": "g", "k": 3, "seed": 5, "sampling": "fast"})
-	if fast.ServedFrom != "cache" || m.Snapshot().ResultCacheHits != 1 {
-		t.Fatalf("fast alias: servedFrom %q, cache hits %d; want the plain request's cache entry",
-			fast.ServedFrom, m.Snapshot().ResultCacheHits)
+	named := topk(t, ts.URL, map[string]any{"graph": "g", "k": 3, "seed": 5, "sampling": "deterministic"})
+	if named.ServedFrom != "cache" || m.Snapshot().ResultCacheHits != 1 {
+		t.Fatalf("named mode: servedFrom %q, cache hits %d; want the plain request's cache entry",
+			named.ServedFrom, m.Snapshot().ResultCacheHits)
 	}
-	sameAnswer(t, "fast alias from cache", fast.Result, plain.Result)
+	sameAnswer(t, "named mode from cache", named.Result, plain.Result)
 
-	fresh := topk(t, ts.URL, map[string]any{
-		"graph": "g", "k": 3, "seed": 5, "sampling": "fast", "freshness": "exact",
-	})
-	if fresh.ServedFrom != "solve" {
-		t.Fatalf("fresh fast alias: servedFrom %q, want solve", fresh.ServedFrom)
-	}
-	sameAnswer(t, "fresh fast alias", fresh.Result, plain.Result)
-
-	status, body := post(t, ts.URL+"/v1/topk", map[string]any{"graph": "g", "k": 3, "sampling": "warp"})
-	var e errorResponse
-	if status != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Field != "sampling" {
-		t.Fatalf("unknown mode: %d %s, want a 400 naming sampling", status, body)
+	for _, mode := range []string{"fast", "warp"} {
+		status, body := post(t, ts.URL+"/v1/topk", map[string]any{"graph": "g", "k": 3, "sampling": mode})
+		var e errorResponse
+		if status != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Field != "sampling" {
+			t.Fatalf("mode %q: %d %s, want a 400 naming sampling", mode, status, body)
+		}
 	}
 }
 

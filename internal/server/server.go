@@ -569,10 +569,13 @@ type topkRequest struct {
 	Epsilon   float64 `json:"epsilon,omitempty"`
 	Gamma     float64 `json:"gamma,omitempty"`
 	Seed      uint64  `json:"seed,omitempty"`
-	Workers   int     `json:"workers,omitempty"`
+	// Workers caps the lanes the solve draws on (0 = no cap); within it
+	// the server's lane budget lends the cores no other solve is drawing
+	// on. The answer is the same at every lane count, so it is outside
+	// every key.
+	Workers int `json:"workers,omitempty"`
 	// Sampling names the growth execution mode. The only mode is
-	// "deterministic" (also the default when empty); "fast" is accepted as
-	// a deprecated alias for one release and answered deterministically.
+	// "deterministic" (also the default when empty).
 	Sampling string `json:"sampling,omitempty"`
 	// Forward swaps the balanced bidirectional sampler for the forward-only
 	// ablation.
@@ -635,7 +638,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	switch req.Sampling {
-	case "", "deterministic", "fast":
+	case "", "deterministic":
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown sampling mode %q (want deterministic)", req.Sampling), "sampling")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"gbc/internal/gen"
@@ -20,7 +21,9 @@ const fuzzMaxCount = 1 << 12
 // FuzzWorkerEpoch feeds arbitrary bodies to POST /v1/shard/epoch, the
 // untrusted input of a shard worker. The worker must never panic; it
 // answers 200 with a payload that decodes to exactly the requested range,
-// or a typed JSON error with a 4xx status.
+// or a typed JSON error with a 4xx status. Its shard root holds one
+// .gbcsr file, and no key — "../", a symlinked file or directory — may
+// open a file outside the root.
 func FuzzWorkerEpoch(f *testing.F) {
 	valid := func(req wire.EpochRequest) []byte {
 		b, _ := json.Marshal(req)
@@ -47,10 +50,24 @@ func FuzzWorkerEpoch(f *testing.F) {
 	f.Add([]byte(`{"protocol":1`))
 	f.Add([]byte(`null`))
 
-	w := NewWorker(nil, false)
+	w, root := rootedWorker(f)
 	w.AddGraph("g", gen.BarabasiAlbert(60, 2, xrand.New(3)))
+	for _, key := range append(escapingKeys(root), filepath.Join(root, "in.gbcsr")) {
+		r := ok
+		r.Graph = key
+		f.Add(valid(r))
+	}
 	h := w.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
+		defer func() {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			for key := range w.graphs {
+				if key != "g" && !within(root, key) {
+					t.Fatalf("opened %q, outside the shard root %q", key, root)
+				}
+			}
+		}()
 		// Decode the way the handler does (first JSON value, trailing bytes
 		// ignored) to know the range it will draw.
 		var req wire.EpochRequest

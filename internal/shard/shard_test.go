@@ -7,7 +7,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"gbc/internal/coverage"
@@ -348,5 +352,92 @@ func TestPartitionCoversRange(t *testing.T) {
 		if next != tc[0]+tc[1] {
 			t.Fatalf("partition(%d,%d) covers up to %d", tc[0], tc[1], next)
 		}
+	}
+}
+
+// rootedWorker returns a worker whose shard root holds in.gbcsr, beside
+// an outside.gbcsr next to the root that a symlinked file (link.gbcsr)
+// and a symlinked directory (up, pointing at the root's parent) reach.
+// The root is returned resolved.
+func rootedWorker(t testing.TB) (*Worker, string) {
+	t.Helper()
+	dir, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Join(dir, "root")
+	if err := os.Mkdir(root, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	g := gen.BarabasiAlbert(50, 2, xrand.New(5))
+	for _, p := range []string{filepath.Join(root, "in.gbcsr"), filepath.Join(dir, "outside.gbcsr")} {
+		if err := g.WriteCSRFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Symlink("../outside.gbcsr", filepath.Join(root, "link.gbcsr")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("..", filepath.Join(root, "up")); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(nil, false)
+	if err := w.SetRoot(root); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	return w, root
+}
+
+// escapingKeys are graph keys that name outside.gbcsr (or nothing) from
+// a rootedWorker's root.
+func escapingKeys(root string) []string {
+	return []string{
+		filepath.Join(root, "..", "outside.gbcsr"),
+		root + "/../outside.gbcsr",
+		"../outside.gbcsr",
+		filepath.Join(root, "link.gbcsr"),
+		filepath.Join(root, "up", "outside.gbcsr"),
+		filepath.Join(root, "up", "root", "link.gbcsr"),
+		filepath.Join(root, "missing.gbcsr"),
+		"/etc/passwd",
+	}
+}
+
+// TestWorkerShardRoot: a worker opens only .gbcsr files that resolve
+// inside its shard root. A file it may open is mapped once whatever name
+// reaches it; "../" and symlink escapes, and keys that resolve to nothing,
+// are typed 400s naming the key, and nothing outside the root opens.
+func TestWorkerShardRoot(t *testing.T) {
+	w, root := rootedWorker(t)
+	srv := httptest.NewServer(w.Handler())
+	t.Cleanup(srv.Close)
+	epoch := func(key string) (int, []byte) {
+		return postEpoch(t, srv.URL, wire.EpochRequest{
+			Protocol: wire.ShardProtocolVersion, Graph: key,
+			Sampler: wire.SamplerBidirectional, Count: 8,
+		})
+	}
+	for _, key := range []string{
+		filepath.Join(root, "in.gbcsr"),
+		root + "//in.gbcsr",
+		filepath.Join(root, "up", "root", "in.gbcsr"),
+	} {
+		if status, body := epoch(key); status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", key, status, body)
+		}
+	}
+	for _, key := range escapingKeys(root) {
+		status, body := epoch(key)
+		var e wire.ShardErrorBody
+		if status != http.StatusBadRequest || json.Unmarshal(body, &e) != nil ||
+			!strings.Contains(e.Error, strconv.Quote(key)) {
+			t.Fatalf("%s: status %d %s, want a 400 naming the key", key, status, body)
+		}
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if want := filepath.Join(root, "in.gbcsr"); len(w.graphs) != 1 || w.graphs[want] == nil {
+		t.Fatalf("resident graphs %v, want only %s", w.graphs, want)
 	}
 }

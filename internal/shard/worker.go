@@ -16,9 +16,12 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,14 +47,15 @@ const maxWorkerBody = 1 << 16
 // (POST /v1/shard/epoch, GET /v1/shard/status).
 type Worker struct {
 	metrics *obs.Metrics
-	// allowPaths lets an epoch request name a .gbcsr path on the worker's
-	// filesystem, opened read-only on first use — the production topology,
-	// where every worker sees the same shared storage. Workers embedded in
-	// tests disable it and pre-register graphs with AddGraph.
-	allowPaths bool
 
 	mu     sync.Mutex
 	graphs map[string]*workerGraph
+	// root, when set, lets an epoch request name a .gbcsr file under it,
+	// opened read-only on first use — the production topology, where every
+	// worker sees the same shared storage. It is absolute and free of
+	// symlinks. Workers embedded in tests leave it empty and pre-register
+	// graphs with AddGraph.
+	root string
 
 	epochs    atomic.Int64
 	samples   atomic.Int64
@@ -84,14 +88,55 @@ type drawerKey struct {
 const maxDrawers = 64
 
 // NewWorker returns a Worker with no resident graphs. allowPaths permits
-// epoch requests to open .gbcsr files from the worker's filesystem; m may
-// be nil.
+// epoch requests to open .gbcsr files under the working directory (see
+// SetRoot); m may be nil.
 func NewWorker(m *obs.Metrics, allowPaths bool) *Worker {
-	return &Worker{
-		metrics:    m,
-		allowPaths: allowPaths,
-		graphs:     make(map[string]*workerGraph),
+	w := &Worker{metrics: m, graphs: make(map[string]*workerGraph)}
+	if allowPaths {
+		// Without a usable working directory the root stays empty, and
+		// every path is refused, which is the safe answer.
+		_ = w.SetRoot(".")
 	}
+	return w
+}
+
+// SetRoot confines the files epoch requests may open to the directory
+// tree under dir. A request key is cleaned, made absolute and resolved
+// through its symlinks first, so neither "../" nor a symlink can leave the
+// tree.
+func (w *Worker) SetRoot(dir string) error {
+	root, err := realPath(dir)
+	if err != nil {
+		return fmt.Errorf("shard: root %q: %w", dir, err)
+	}
+	w.mu.Lock()
+	w.root = root
+	w.mu.Unlock()
+	return nil
+}
+
+// realPath is p made absolute, cleaned and with every symlink resolved.
+func realPath(p string) (string, error) {
+	abs, err := filepath.Abs(p)
+	if err != nil {
+		return "", err
+	}
+	return filepath.EvalSymlinks(abs)
+}
+
+// within reports whether path p lies in the tree under root.
+func within(root, p string) bool {
+	rel, err := filepath.Rel(root, p)
+	return err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator))
+}
+
+// outsideRootError refuses an epoch request whose graph key does not
+// resolve to a path under the worker's root; the handler answers it with
+// a 400 naming the key.
+type outsideRootError struct{ key string }
+
+func (e *outsideRootError) Error() string {
+	return fmt.Sprintf("shard: graph %q does not resolve to a file under the shard root", e.key)
 }
 
 // AddGraph pre-registers g under key. The worker does not take ownership:
@@ -132,30 +177,41 @@ func (w *Worker) Handler() http.Handler {
 // resolveGraph returns the graph under key, opening it from the filesystem
 // when permitted. Only the binary .gbcsr format may be opened on demand —
 // it is verified, mmap-attached and safe to share read-only; anything else
-// must be pre-registered.
+// must be pre-registered. An opened file is kept under its resolved path,
+// so every name for one file shares a single mapping. A key that does not
+// resolve to a path inside the root is refused with *outsideRootError —
+// a missing file and an escape get the same answer, so a request cannot
+// probe what exists outside the root.
 func (w *Worker) resolveGraph(key string) (*workerGraph, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if wg, ok := w.graphs[key]; ok {
 		return wg, nil
 	}
-	if !w.allowPaths {
+	if w.root == "" {
 		return nil, fmt.Errorf("shard: unknown graph %q", key)
 	}
-	isCSR, err := graph.DetectCSRFile(key)
+	path, err := realPath(key)
+	if err != nil || !within(w.root, path) {
+		return nil, &outsideRootError{key}
+	}
+	if wg, ok := w.graphs[path]; ok {
+		return wg, nil
+	}
+	isCSR, err := graph.DetectCSRFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("shard: graph %q: %w", key, err)
 	}
 	if !isCSR {
 		return nil, fmt.Errorf("shard: graph %q is not a .gbcsr file", key)
 	}
-	g, err := graph.OpenCSR(key)
+	g, err := graph.OpenCSR(path)
 	if err != nil {
 		return nil, fmt.Errorf("shard: graph %q: %w", key, err)
 	}
 	w.metrics.AddGraphBytesMapped(g.MappedBytes())
 	wg := &workerGraph{g: g, owned: true, drawers: make(map[drawerKey]*sampling.Drawer)}
-	w.graphs[key] = wg
+	w.graphs[path] = wg
 	return wg, nil
 }
 
@@ -193,7 +249,12 @@ func (w *Worker) handleEpoch(rw http.ResponseWriter, r *http.Request) {
 	}
 	wg, err := w.resolveGraph(req.Graph)
 	if err != nil {
-		writeShardError(rw, http.StatusNotFound, err.Error())
+		status := http.StatusNotFound
+		var outside *outsideRootError
+		if errors.As(err, &outside) {
+			status = http.StatusBadRequest
+		}
+		writeShardError(rw, status, err.Error())
 		return
 	}
 

@@ -55,8 +55,8 @@ type Result struct {
 	ElapsedMillis float64 `json:"elapsedMillis"`
 	// SamplingMode names the growth execution mode of the run. It is
 	// always "deterministic": a run is bit-reproducible for a given (graph,
-	// algorithm, k, seed) at any worker count. The key is kept for
-	// consumers written against the removed "fast" mode.
+	// algorithm, k, seed) at any worker count. The key is frozen, so it
+	// stays although "deterministic" is the only mode left.
 	SamplingMode string `json:"samplingMode"`
 	// Trace summarizes the outer iterations when the run collected one.
 	Trace []TraceEntry `json:"trace,omitempty"`

@@ -6,8 +6,10 @@
 # over real TCP, registers the .gbcsr path, runs a deterministic top-K
 # query, and diffs the result byte-for-byte against a single-node
 # `cmd/gbc -json` solve of the same file: sharded growth must be invisible
-# in the output. Also asserts via /v1/cluster that the samples really were
-# drawn remotely, then checks all three processes drain cleanly on SIGTERM.
+# in the output. Also asserts that a worker refuses epoch keys escaping
+# its -shard-root ("../" and a symlink), that /v1/cluster shows the
+# samples really were drawn remotely, and that all three processes drain
+# cleanly on SIGTERM.
 #
 # Run via `make shard-smoke` (part of `make ci`).
 set -eu
@@ -36,12 +38,17 @@ go build -o "$TMP/gengraph" ./cmd/gengraph
 go build -o "$TMP/gbc" ./cmd/gbc
 go build -o "$TMP/gbcd" ./cmd/gbcd
 
+# The workers' shard root is $TMP/data. A copy of the graph outside it,
+# reachable through "../" and through a symlink inside it, must stay shut.
+mkdir "$TMP/data"
 "$TMP/gengraph" -dataset GrQc -scale 0.1 -seed 1 \
-    -format gbcsr -out "$TMP/g.gbcsr" 2>"$TMP/gengraph.log" \
+    -format gbcsr -out "$TMP/data/g.gbcsr" 2>"$TMP/gengraph.log" \
     || fail "gengraph -format gbcsr failed: $(cat "$TMP/gengraph.log")"
+cp "$TMP/data/g.gbcsr" "$TMP/outside.gbcsr"
+ln -s ../outside.gbcsr "$TMP/data/link.gbcsr"
 
 # The single-node reference: a deterministic solve of the same .gbcsr file.
-"$TMP/gbc" -input "$TMP/g.gbcsr" -k 8 -seed 1 -json >"$TMP/single.json" \
+"$TMP/gbc" -input "$TMP/data/g.gbcsr" -k 8 -seed 1 -json >"$TMP/single.json" \
     || fail "single-node gbc solve failed"
 
 # start_gbcd LOGNAME ARGS... — start a daemon and leave its base URL in
@@ -63,9 +70,9 @@ start_gbcd() {
     [ -n "$URL" ] || fail "$log: daemon never reported its listen URL"
 }
 
-start_gbcd shard1 -shard -addr 127.0.0.1:0 -drain-grace 5s
+start_gbcd shard1 -shard -shard-root "$TMP/data" -addr 127.0.0.1:0 -drain-grace 5s
 SHARD1="$URL"
-start_gbcd shard2 -shard -addr 127.0.0.1:0 -drain-grace 5s
+start_gbcd shard2 -shard -shard-root "$TMP/data" -addr 127.0.0.1:0 -drain-grace 5s
 SHARD2="$URL"
 start_gbcd coord -addr 127.0.0.1:0 -drain-grace 5s -shards "$SHARD1,$SHARD2"
 COORD="$URL"
@@ -73,10 +80,18 @@ COORD="$URL"
 curl -fsS "$SHARD1/healthz" >/dev/null || fail "shard 1 healthz unreachable"
 curl -fsS "$SHARD2/healthz" >/dev/null || fail "shard 2 healthz unreachable"
 
+# A key escaping the shard root is a typed 400 naming it.
+for escape in "$TMP/data/../outside.gbcsr" "$TMP/data/link.gbcsr"; do
+    code="$(curl -sS -o "$TMP/escape.json" -w '%{http_code}' -X POST "$SHARD1/v1/shard/epoch" \
+        -d "{\"protocol\":1,\"graph\":\"$escape\",\"sampler\":\"bidirectional\",\"count\":1}")"
+    [ "$code" = 400 ] && grep -qF "$escape" "$TMP/escape.json" \
+        || fail "epoch request for $escape answered $code: $(cat "$TMP/escape.json")"
+done
+
 # Register the graph by path: a .gbcsr path plus a live shard cluster is
 # exactly the topology the coordinator dispatches growth for.
 curl -fsS -X POST "$COORD/v1/graphs" \
-    -d "{\"name\":\"g\",\"path\":\"$TMP/g.gbcsr\"}" >"$TMP/graph.json" \
+    -d "{\"name\":\"g\",\"path\":\"$TMP/data/g.gbcsr\"}" >"$TMP/graph.json" \
     || fail "graph registration failed"
 grep -q '"name":"g"' "$TMP/graph.json" || fail "graph response malformed: $(cat "$TMP/graph.json")"
 

@@ -74,15 +74,17 @@ shard-smoke:
 patch-smoke:
 	sh scripts/patch_smoke.sh
 
-# Short smoke run of the untrusted-input fuzzers (native Go fuzzing): the
+# Short smoke run of the native Go fuzzers: the untrusted-input ones (the
 # two edge-list parsers, the binary .gbcsr decoder, the shard payload
-# decoder and the shard worker's epoch request body.
+# decoder and the shard worker's epoch request body) and the bidirectional
+# sampler checked against the forward reference on small graphs.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadEdgeList$$ -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzReadWeightedEdgeList -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzDecodeCSR -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzDecodeArenaPayload -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzWorkerEpoch -fuzztime 10s ./internal/shard
+	$(GO) test -run xxx -fuzz FuzzBidirectionalSample -fuzztime 10s ./internal/bfs
 
 cover:
 	$(GO) test -cover ./...

@@ -396,14 +396,34 @@ func BenchmarkSamplingGrowWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkBidirectionalSamplePath times one bidirectional draw (pair
+// choice, search, crossing-edge selection and path walk) the way a sampling
+// lane makes it: AppendSample into a reused buffer. The shapes are sparse
+// and dense preferential attachment (m/n ≈ 4 and ≈ 13), directed
+// preferential attachment with unreachable pairs, and a Watts–Strogatz
+// ring; edges/path is the adjacency entries the search expanded per draw.
 func BenchmarkBidirectionalSamplePath(b *testing.B) {
-	g := BarabasiAlbert(50000, 4, 9)
-	s := bfs.NewBidirectional(g)
-	r := xrand.New(10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u, v := r.IntnPair(g.N())
-		s.Sample(int32(u), int32(v), r)
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"ba-sparse", BarabasiAlbert(50000, 4, 9)},
+		{"ba-dense", BarabasiAlbert(10000, 13, 9)},
+		{"dpa", DirectedPreferential(50000, 4, 0.3, 9)},
+		{"ws", WattsStrogatz(50000, 5, 0.05, 9)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := bfs.NewBidirectional(c.g)
+			r := xrand.New(10)
+			var buf []int32
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u, v := r.IntnPair(c.g.N())
+				_, buf = s.AppendSample(buf[:0], int32(u), int32(v), r)
+			}
+			b.ReportMetric(float64(s.EdgesScanned)/float64(b.N), "edges/path")
+		})
 	}
 }
 

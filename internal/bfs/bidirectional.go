@@ -71,8 +71,8 @@ func (s *side) label(v, d int32, sig float64) {
 	s.order = append(s.order, v)
 }
 
-// depth is the distance of the current frontier level (levels fully counted
-// up to and including depth).
+// depth is the distance of the current frontier level (levels counted up
+// to and including depth; see search for the one exception).
 func (s *side) depth() int32 { return int32(len(s.levelOff) - 2) }
 
 func (s *side) frontier() []int32 {
@@ -94,9 +94,10 @@ type crossEdge struct {
 
 // Bidirectional samples shortest paths between node pairs using a balanced
 // bidirectional BFS: the search alternates between the two endpoints,
-// always expanding the cheaper frontier, stops as soon as the meeting level
-// is complete, computes the exact σ_st by summing σ_s(u)·σ_t(v) over the
-// crossing edges of a cut, and then draws one shortest path uniformly.
+// always expanding the cheaper frontier, stops on the level where the two
+// searches first meet, computes the exact σ_st by summing σ_s(u)·σ_t(v)
+// over the crossing edges of a cut, and then draws one shortest path
+// uniformly.
 //
 // A Bidirectional holds reusable workspace; it is not safe for concurrent
 // use. Create one per goroutine.
@@ -104,11 +105,19 @@ type Bidirectional struct {
 	g    *graph.Graph
 	f, b side
 
-	// crossing-edge scratch
-	cross []crossEdge
+	// Crossing-edge scratch. A search whose last expansion is forward
+	// fills it while scanning the meeting level (meetForward), sets
+	// crossed and leaves σ_st in crossSigma; otherwise collectCrossing
+	// fills it after the search.
+	cross      []crossEdge
+	crossSigma float64
+	crossed    bool
 
-	// EdgesScanned counts adjacency entries examined since creation; used
-	// by the sampler-cost ablation benchmarks.
+	// EdgesScanned counts the adjacency entries the level expansions
+	// examined since creation, each entry once; the meeting level's
+	// crossing-edge pass is part of its expansion. collectCrossing's scan
+	// and the two path walks are not counted. Used by the sampler-cost
+	// ablation benchmarks.
 	EdgesScanned int64
 }
 
@@ -123,10 +132,23 @@ func NewBidirectional(g *graph.Graph) *Bidirectional {
 }
 
 // expand processes one full BFS level of the chosen side, labeling the next
-// level, accumulating σ and registering meeting candidates in best. The
-// next frontier's expansion volume is summed as its nodes are labeled, so
-// the balance decision in search reads a cached value.
-func (bd *Bidirectional) expand(forward bool, best int32) int32 {
+// level and accumulating σ, and returns d(s, t) if this level meets the
+// other side, else -1. The next frontier's expansion volume is summed as
+// its nodes are labeled, so the balance decision in search reads a cached
+// value.
+//
+// The meeting level. search stops as soon as some node is labeled by both
+// sides, so when expand is entered no node is, and the first node this
+// level labels that the other side holds makes this level the last. That
+// node v lies on the other side's frontier. Had the other side labeled v
+// at od < other.depth(), it would already have expanded level od, scanned
+// the edge just scanned here from v's end, and labeled its other end u —
+// on this side's frontier — at depth od+1 or less: a node labeled by both
+// sides before this call. So od == other.depth(), every meeting on this
+// level gives d(s, t) = nd + od, and from the first meeting edge on the
+// expansion only finishes what later steps read (meetForward,
+// meetBackward).
+func (bd *Bidirectional) expand(forward bool) int32 {
 	this, other := &bd.f, &bd.b
 	if !forward {
 		this, other = &bd.b, &bd.f
@@ -134,7 +156,7 @@ func (bd *Bidirectional) expand(forward bool, best int32) int32 {
 	fr := this.frontier()
 	nd := this.depth() + 1
 	var nextVol int64
-	for _, u := range fr {
+	for i, u := range fr {
 		su := this.state[u].sigma
 		var adj []int32
 		if forward {
@@ -143,10 +165,23 @@ func (bd *Bidirectional) expand(forward bool, best int32) int32 {
 			adj = bd.g.InNeighbors(u)
 		}
 		bd.EdgesScanned += int64(len(adj))
-		for _, v := range adj {
+		for j, v := range adj {
 			st := &this.state[v]
 			switch st.dist {
 			case -1:
+				if od := other.state[v].dist; od >= 0 {
+					if od != other.depth() {
+						// Cannot happen: see the proof above.
+						panic("bfs: internal error: first meeting below the other side's frontier")
+					}
+					if forward {
+						bd.meetForward(fr[i:], adj[j:], od)
+					} else {
+						bd.meetBackward(fr[i:], adj[j:], nd, od)
+					}
+					this.levelOff = append(this.levelOff, len(this.order))
+					return nd + od
+				}
 				st.dist = nd
 				st.sigma = su
 				this.order = append(this.order, v)
@@ -155,11 +190,6 @@ func (bd *Bidirectional) expand(forward bool, best int32) int32 {
 				} else {
 					nextVol += int64(bd.g.InDegree(v))
 				}
-				if od := other.state[v].dist; od >= 0 {
-					if cand := nd + od; best < 0 || cand < best {
-						best = cand
-					}
-				}
 			case nd:
 				st.sigma += su
 			}
@@ -167,15 +197,80 @@ func (bd *Bidirectional) expand(forward bool, best int32) int32 {
 	}
 	this.frontierVol = nextVol
 	this.levelOff = append(this.levelOff, len(this.order))
-	return best
+	return -1
 }
 
-// search runs the bidirectional BFS between s and t (s != t) until d(s, t)
-// is determined or proven infinite. On success both sides have finalized σ
-// for every level up to their depth, and d(s,t) = best.
-func (bd *Bidirectional) search(s, t int32) (best int32, ok bool) {
+// meetForward finishes a forward expansion from its first meeting edge:
+// adj is the rest of fr[0]'s out-neighbours, starting at the meeting node.
+// No later step reads the forward labels of the meeting level, so it
+// labels nothing. It scans the rest of the frontier's out-edges only for
+// nodes at backward depth od, appending each crossing edge with weight
+// σ_s(u)·σ_t(v) and summing σ_st. The cut of a forward-last search is the
+// level being expanded (cut: c = d−od−1 = nd−1), and no edge scanned before
+// the meeting reaches backward depth od, so this is collectCrossing's
+// list, in its order and with the same float additions.
+func (bd *Bidirectional) meetForward(fr, adj []int32, od int32) {
+	bd.cross = bd.cross[:0]
+	var total float64
+	for i, u := range fr {
+		if i > 0 {
+			adj = bd.g.OutNeighbors(u)
+			bd.EdgesScanned += int64(len(adj))
+		}
+		su := bd.f.state[u].sigma
+		for _, v := range adj {
+			if st := &bd.b.state[v]; st.dist == od {
+				w := su * st.sigma
+				bd.cross = append(bd.cross, crossEdge{u: u, v: v, w: w})
+				total += w
+			}
+		}
+	}
+	bd.crossSigma, bd.crossed = total, true
+}
+
+// meetBackward finishes a backward expansion from its first meeting edge:
+// adj is the rest of fr[0]'s in-neighbours, starting at the meeting node.
+// The cut of a backward-last search is the forward level before the
+// frontier at depth fd (s itself when fd is 0), so the meeting level is
+// read at most at its nodes on the forward frontier — by collectCrossing
+// and the forward path walk — and only those accumulate σ_t; every other
+// node is skipped.
+func (bd *Bidirectional) meetBackward(fr, adj []int32, nd, fd int32) {
+	for i, u := range fr {
+		if i > 0 {
+			adj = bd.g.InNeighbors(u)
+			bd.EdgesScanned += int64(len(adj))
+		}
+		su := bd.b.state[u].sigma
+		for _, v := range adj {
+			if bd.f.state[v].dist != fd {
+				continue
+			}
+			switch st := &bd.b.state[v]; st.dist {
+			case -1:
+				st.dist = nd
+				st.sigma = su
+				bd.b.order = append(bd.b.order, v)
+			case nd:
+				st.sigma += su
+			}
+		}
+	}
+}
+
+// search runs the bidirectional BFS between s and t (s != t) until the two
+// sides meet, returning d(s, t), or until one side is exhausted without a
+// meeting, which proves t unreachable. σ is final on every level up to
+// each side's depth except the level the last expansion labeled: after a
+// forward-last search that level holds only the nodes labeled before the
+// first meeting, with partial σ (meetForward collected the crossing edges
+// instead), and after a backward-last search its σ_t is final only on
+// nodes of the forward frontier (meetBackward).
+func (bd *Bidirectional) search(s, t int32) (d int32, ok bool) {
 	bd.f.reset()
 	bd.b.reset()
+	bd.crossed = false
 	bd.f.levelOff = append(bd.f.levelOff, 0)
 	bd.f.label(s, 0, 1)
 	bd.f.levelOff = append(bd.f.levelOff, 1)
@@ -184,25 +279,18 @@ func (bd *Bidirectional) search(s, t int32) (best int32, ok bool) {
 	bd.b.label(t, 0, 1)
 	bd.b.levelOff = append(bd.b.levelOff, 1)
 	bd.b.frontierVol = int64(bd.g.InDegree(t))
-	best = -1
 	for {
-		fs, bs := bd.f.depth(), bd.b.depth()
-		fEmpty := len(bd.f.frontier()) == 0
-		bEmpty := len(bd.b.frontier()) == 0
-		// Once either search is exhausted all σ on that side are final and
-		// best (if set) equals d(s,t); with both frontiers alive the search
-		// may stop as soon as every path of length <= fs+bs is detectable.
-		if best >= 0 && (fEmpty || bEmpty || best <= fs+bs) {
-			return best, true
-		}
-		if fEmpty || bEmpty {
-			// An exhausted side with no meeting proves unreachability.
+		// An exhausted side with no meeting proves unreachability.
+		if len(bd.f.frontier()) == 0 || len(bd.b.frontier()) == 0 {
 			return -1, false
 		}
 		if bd.f.frontierVol <= bd.b.frontierVol {
-			best = bd.expand(true, best)
+			d = bd.expand(true)
 		} else {
-			best = bd.expand(false, best)
+			d = bd.expand(false)
+		}
+		if d >= 0 {
+			return d, true
 		}
 	}
 }
@@ -221,6 +309,17 @@ func (bd *Bidirectional) cut(d int32) int32 {
 		panic("bfs: internal error: cut level beyond forward depth")
 	}
 	return c
+}
+
+// crossing returns the cut level for distance d and σ_st, with the cut's
+// crossing edges in the scratch: collected during a forward-last search,
+// or by collectCrossing now.
+func (bd *Bidirectional) crossing(d int32) (c int32, sigma float64) {
+	c = bd.cut(d)
+	if bd.crossed {
+		return c, bd.crossSigma
+	}
+	return c, bd.collectCrossing(d, c)
 }
 
 // collectCrossing fills the crossing-edge scratch for distance d and cut c,
@@ -252,8 +351,8 @@ func (bd *Bidirectional) SigmaDist(s, t int32) (sigma float64, dist int32, ok bo
 	if !ok {
 		return 0, -1, false
 	}
-	c := bd.cut(d)
-	return bd.collectCrossing(d, c), d, true
+	_, sigma = bd.crossing(d)
+	return sigma, d, true
 }
 
 // Sample draws one shortest s–t path uniformly at random among all σ_st
@@ -275,15 +374,16 @@ func (bd *Bidirectional) AppendSample(dst []int32, s, t int32, r *xrand.Rand) (S
 	}
 	d, ok := bd.search(s, t)
 	// Observed-region bounds: the search labels (and degree-reads) nodes up
-	// to each side's final depth, and every later phase — crossing-edge
-	// collection, the two path walks — only scans adjacencies of labeled
-	// nodes, so depth+1 is a sound exclusive radius for both exits.
+	// to each side's final depth — the meeting level's finish reads a
+	// subset of what a full expansion would — and every later phase —
+	// crossing-edge collection, the two path walks — only scans
+	// adjacencies of labeled nodes, so depth+1 is a sound exclusive radius
+	// for both exits.
 	obsF, obsB := bd.f.depth()+1, bd.b.depth()+1
 	if !ok {
 		return Sample{Dist: -1, ObsF: obsF, ObsB: obsB}, dst
 	}
-	c := bd.cut(d)
-	total := bd.collectCrossing(d, c)
+	c, total := bd.crossing(d)
 	// Select a crossing edge with probability σ_s(u)·σ_t(v)/σ_st.
 	x := r.Float64() * total
 	idx := len(bd.cross) - 1

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"gbc/internal/graph"
 	"gbc/internal/sampling"
 	"gbc/internal/server/client"
+	"gbc/internal/shard"
 	"gbc/internal/xrand"
 )
 
@@ -75,12 +77,15 @@ func TestTopKLaneBudgetHelperLanes(t *testing.T) {
 }
 
 // TestServedAnswersConformAcrossLaneBudgets is served-path conformance
-// across lane counts. On the graphs of core's
+// across lane counts and growth topologies. On the graphs of core's
 // TestApproximationGuaranteeSuccessRate, small enough for
 // exact.BruteForceOptimal, gbcd answers every request from the solve,
-// coalesced and memo paths with lane budgets of 1 and GOMAXPROCS and
-// request workers 0, 1 and 8. Each answer must equal gbc.Solve bit for bit
-// and reach (1−1/e−ε)·OPT, with failures per cell within that test's
+// coalesced and memo paths with lane budgets of 1 and GOMAXPROCS, and with
+// version-1 growth through two shard workers; request workers are 0, 1
+// and 8. Each graph is then patched, and every seed is answered again from
+// its family's repaired samples on version 2. Each answer must equal
+// gbc.Solve on the same version and seed bit for bit and reach
+// (1−1/e−ε)·OPT of that version, with failures per cell within that test's
 // binomial bound of γ.
 func TestServedAnswersConformAcrossLaneBudgets(t *testing.T) {
 	r := xrand.New(301)
@@ -100,71 +105,159 @@ func TestServedAnswersConformAcrossLaneBudgets(t *testing.T) {
 		followers   = 2
 	)
 	thresh := 1 - 1/math.E - eps
-	opt := make([]float64, len(graphs))
-	want := make([][]gbc.WireResult, len(graphs))
+	// versions[gi][0] is graph gi as registered, versions[gi][1] after its
+	// patch; each with OPT and gbc.Solve's answer per seed.
+	type version struct {
+		g    *graph.Graph
+		opt  float64
+		want []gbc.WireResult
+	}
+	versions := make([][2]version, len(graphs))
+	patches := make([]*graph.Delta, len(graphs))
 	for gi, c := range graphs {
-		_, opt[gi] = exact.BruteForceOptimal(c.g, k)
-		for i := 0; i < runs; i++ {
-			res, err := gbc.Solve(context.Background(), c.g, gbc.Options{K: k, Epsilon: eps, Gamma: gamma, Seed: uint64(1000 + i)})
-			if err != nil {
-				t.Fatal(err)
+		patches[gi] = conformancePatch(c.g)
+		ng, err := graph.ApplyDelta(c.g, patches[gi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for vi, g := range []*graph.Graph{c.g, ng} {
+			v := version{g: g}
+			_, v.opt = exact.BruteForceOptimal(g, k)
+			for i := 0; i < runs; i++ {
+				res, err := gbc.Solve(context.Background(), g, gbc.Options{K: k, Epsilon: eps, Gamma: gamma, Seed: uint64(1000 + i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.want = append(v.want, gbc.NewWireResult(gbc.AdaAlg, k, res, nil))
 			}
-			want[gi] = append(want[gi], gbc.NewWireResult(gbc.AdaAlg, k, res, nil))
+			versions[gi][vi] = v
 		}
 	}
 
-	for _, lanes := range []int{1, runtime.GOMAXPROCS(0)} {
-		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			s, ts, m := newTestServer(t, Config{})
-			s.reg.lanes = sampling.NewLaneBudget(lanes)
+	procs := runtime.GOMAXPROCS(0)
+	for _, topo := range []struct {
+		name          string
+		lanes, shards int
+	}{
+		{"lanes=1", 1, 0},
+		{fmt.Sprintf("lanes=%d", procs), procs, 0},
+		{"shards=2", procs, 2},
+	} {
+		t.Run(topo.name, func(t *testing.T) {
+			// Shard workers resolve every graph in memory under its
+			// registered name, standing in for shared .gbcsr storage.
+			var urls []string
+			for range topo.shards {
+				w := shard.NewWorker(nil, false)
+				for _, c := range graphs {
+					for _, workers := range []int{0, 1, 8} {
+						w.AddGraph(fmt.Sprintf("%s-w%d", c.name, workers), c.g)
+					}
+				}
+				srv := httptest.NewServer(w.Handler())
+				t.Cleanup(srv.Close)
+				urls = append(urls, srv.URL)
+			}
+			s, ts, m := newTestServer(t, Config{Shards: urls})
+			s.reg.lanes = sampling.NewLaneBudget(topo.lanes)
 			for gi, c := range graphs {
 				for _, workers := range []int{0, 1, 8} {
 					// A graph per workers value, so each value's first
 					// solve on a seed draws its samples under its own cap.
 					name := fmt.Sprintf("%s-w%d", c.name, workers)
-					if _, err := s.Registry().Add(name, "", c.g); err != nil {
+					e, err := s.Registry().Add(name, "", c.g)
+					if err != nil {
 						t.Fatal(err)
 					}
-					failures := map[string]int{}
-					for i := 0; i < runs; i++ {
-						seed := 1000 + i
-						req := map[string]any{
-							"graph": name, "k": k, "epsilon": eps, "gamma": gamma,
-							"seed": seed, "workers": workers,
-						}
-						exactReq := map[string]any{"freshness": "exact"}
-						maps.Copy(exactReq, req)
-						check := func(path string, r topkResponse) {
-							t.Helper()
-							if r.ServedFrom != path {
-								t.Fatalf("%s seed %d: servedFrom %q, want %q", name, seed, r.ServedFrom, path)
-							}
-							sameAnswer(t, fmt.Sprintf("%s seed %d %s", name, seed, path), r.Result, want[gi][i])
-							if exact.GBC(c.g, groupOf(r)) < thresh*opt[gi] {
-								failures[path]++
-							}
-						}
-						for _, r := range coalescedSolve(t, s, ts.URL, exactReq, uint64(seed), followers) {
-							check(r.ServedFrom, r)
-						}
-						check("solve", topk(t, ts.URL, exactReq))
-						check("cache", topk(t, ts.URL, req))
+					if topo.shards > 0 {
+						e.Shard, e.ShardKey = s.Cluster(), name
 					}
-					for path, n := range failures {
-						if n > maxFailures {
-							t.Fatalf("%s: %d/%d %s answers below the (1-1/e-ε) guarantee", name, n, runs, path)
+					var repaired int64
+					for vi := range versions[gi] {
+						v := versions[gi][vi]
+						if vi == 1 {
+							// Every family on the graph now holds version-1
+							// samples; the next solve on each repairs them.
+							repaired = m.Snapshot().SamplesRepaired
+							del, ins := patches[gi].Delete[0], patches[gi].Insert[0]
+							if status, body := patchJSON(t, ts.URL+"/v1/graphs/"+name, map[string]any{
+								"delete": []map[string]any{{"u": del.U, "v": del.V}},
+								"insert": []map[string]any{{"u": ins.U, "v": ins.V}},
+							}); status != http.StatusOK {
+								t.Fatalf("%s: patch: %d %s", name, status, body)
+							}
 						}
+						failures := map[string]int{}
+						for i := 0; i < runs; i++ {
+							seed := 1000 + i
+							req := map[string]any{
+								"graph": name, "k": k, "epsilon": eps, "gamma": gamma,
+								"seed": seed, "workers": workers,
+							}
+							exactReq := map[string]any{"freshness": "exact"}
+							maps.Copy(exactReq, req)
+							check := func(path string, r topkResponse) {
+								t.Helper()
+								what := fmt.Sprintf("%s v%d seed %d %s", name, vi+1, seed, path)
+								if r.ServedFrom != path || r.GraphVersion != vi+1 {
+									t.Fatalf("%s: servedFrom %q on version %d", what, r.ServedFrom, r.GraphVersion)
+								}
+								sameAnswer(t, what, r.Result, v.want[i])
+								if exact.GBC(v.g, groupOf(r)) < thresh*v.opt {
+									failures[path]++
+								}
+							}
+							if vi == 0 {
+								for _, r := range coalescedSolve(t, s, ts.URL, exactReq, uint64(seed), followers) {
+									check(r.ServedFrom, r)
+								}
+							}
+							// On version 2 the first request solves: the
+							// patch dropped the version-1 memo answers.
+							check("solve", topk(t, ts.URL, exactReq))
+							check("cache", topk(t, ts.URL, req))
+						}
+						for path, n := range failures {
+							if n > maxFailures {
+								t.Fatalf("%s v%d: %d/%d %s answers below the (1-1/e-ε) guarantee", name, vi+1, n, runs, path)
+							}
+						}
+					}
+					if n := m.Snapshot().SamplesRepaired - repaired; n == 0 {
+						t.Fatalf("%s: the version-2 solves redrew no repaired samples", name)
 					}
 				}
 			}
 			if n := s.reg.lanes.InUse(); n != 0 {
 				t.Fatalf("%d lanes still in use after the traffic", n)
 			}
-			if helpers := m.Snapshot().HelperLanes; (lanes > 1) != (helpers > 0) {
-				t.Fatalf("lane budget %d granted %d helper lanes", lanes, helpers)
+			st := m.Snapshot()
+			if topo.shards > 0 {
+				if st.ShardEpochs == 0 {
+					t.Fatal("no sample growth went through the shard workers")
+				}
+			} else if (topo.lanes > 1) != (st.HelperLanes > 0) {
+				t.Fatalf("lane budget %d granted %d helper lanes", topo.lanes, st.HelperLanes)
 			}
 		})
 	}
+}
+
+// conformancePatch is a two-edge delta for g: it deletes the first edge of
+// the first node that has one and inserts the first edge absent from the
+// last node.
+func conformancePatch(g *graph.Graph) *graph.Delta {
+	u := int32(0)
+	for g.OutDegree(u) == 0 {
+		u++
+	}
+	del := graph.DeltaEdge{U: u, V: g.OutNeighbors(u)[0]}
+	a := int32(g.N() - 1)
+	b := int32(0)
+	for b == a || g.HasEdge(a, b) {
+		b++
+	}
+	return &graph.Delta{Delete: []graph.DeltaEdge{del}, Insert: []graph.DeltaEdge{{U: a, V: b}}}
 }
 
 // coalescedSolve sends 1+followers copies of a freshness-"exact" request

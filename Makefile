@@ -76,8 +76,9 @@ patch-smoke:
 
 # Short smoke run of the native Go fuzzers: the untrusted-input ones (the
 # two edge-list parsers, the binary .gbcsr decoder, the shard payload
-# decoder and the shard worker's epoch request body) and the bidirectional
-# sampler checked against the forward reference on small graphs.
+# decoder and the shard worker's epoch request body), the bidirectional
+# sampler checked against the forward reference and the Dijkstra sampler
+# checked against DijkstraSSSP, both on small graphs.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadEdgeList$$ -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzReadWeightedEdgeList -fuzztime 10s ./internal/graph
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeArenaPayload -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzWorkerEpoch -fuzztime 10s ./internal/shard
 	$(GO) test -run xxx -fuzz FuzzBidirectionalSample -fuzztime 10s ./internal/bfs
+	$(GO) test -run xxx -fuzz FuzzDijkstraSample -fuzztime 10s ./internal/bfs
 
 cover:
 	$(GO) test -cover ./...

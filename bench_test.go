@@ -427,6 +427,53 @@ func BenchmarkBidirectionalSamplePath(b *testing.B) {
 	}
 }
 
+// withWeights is g with each edge weighted uniformly from 1..8, the
+// weights of gbcbench's solve-mix weighted instance.
+func withWeights(g *Graph, seed uint64) *Graph {
+	r := xrand.New(seed)
+	bld := NewBuilder(g.N(), g.Directed())
+	g.Edges(func(u, v int32) bool {
+		bld.AddWeightedEdge(u, v, float64(1+r.Intn(8)))
+		return true
+	})
+	wg, err := bld.Build()
+	if err != nil {
+		panic(err)
+	}
+	return wg
+}
+
+// BenchmarkDijkstraSamplePath times one weighted draw (pair choice, the
+// bidirectional Dijkstra, crossing-edge selection and path walk) the way a
+// sampling lane makes it: AppendSample into a reused buffer. The shapes are
+// preferential attachment with weights 1..8 at n = 400 (the shape of
+// solve-mix's weighted graph) and n = 5,000, and directed preferential
+// attachment with unreachable pairs; edges/path is the adjacency entries
+// the settles scanned per draw.
+func BenchmarkDijkstraSamplePath(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"ba-400", withWeights(BarabasiAlbert(400, 3, 9), 10)},
+		{"ba-5000", withWeights(BarabasiAlbert(5000, 3, 9), 10)},
+		{"dpa-5000", withWeights(DirectedPreferential(5000, 3, 0.3, 9), 10)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := bfs.NewDijkstra(c.g)
+			r := xrand.New(11)
+			var buf []int32
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u, v := r.IntnPair(c.g.N())
+				_, buf = s.AppendSample(buf[:0], int32(u), int32(v), r)
+			}
+			b.ReportMetric(float64(s.EdgesScanned)/float64(b.N), "edges/path")
+		})
+	}
+}
+
 func BenchmarkGreedyCoverage50k(b *testing.B) {
 	g := BarabasiAlbert(5000, 3, 11)
 	set := sampling.NewBidirectionalSet(g, xrand.New(12))

@@ -5,7 +5,7 @@
 // corridor, while hop-count routing spreads them over the grid center.
 //
 // Weighted support is this library's extension beyond the paper (which is
-// unweighted); sampling switches to truncated Dijkstra automatically.
+// unweighted); sampling switches to a bidirectional Dijkstra automatically.
 package main
 
 import (

@@ -2,8 +2,10 @@
 // plain single-source BFS with path counting (the forward phase of Brandes'
 // algorithm), a balanced bidirectional BFS that computes the number of
 // shortest paths σ_st between two nodes and samples one of them uniformly
-// at random (the sampler of Borassi–Natale/KADABRA used by the paper), and
-// an exhaustive shortest-path enumerator for testing on small graphs.
+// at random (the sampler of Borassi–Natale/KADABRA used by the paper), its
+// weighted counterpart (a balanced bidirectional Dijkstra, checked against
+// the single-source DijkstraSSSP), and an exhaustive shortest-path
+// enumerator for testing on small graphs.
 package bfs
 
 import "gbc/internal/graph"

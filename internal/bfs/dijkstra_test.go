@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -153,6 +154,161 @@ func TestDijkstraSampleUniformOverTiedPaths(t *testing.T) {
 	}
 	if f := float64(via1) / trials; math.Abs(f-0.5) > 0.03 {
 		t.Fatalf("tied paths not sampled uniformly: via-1 fraction %g", f)
+	}
+
+	// A 4×4 grid of unit edges with three weight-2 diagonal bypasses: the
+	// tied corner-to-corner paths differ in hop count and cross the cut on
+	// different edges. A chi-square test compares the sampled paths with
+	// the uniform distribution over the paths DijkstraSSSP's DAG holds.
+	var edges [][3]float64
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			v := float64(4*i + j)
+			if j < 3 {
+				edges = append(edges, [3]float64{v, v + 1, 1})
+			}
+			if i < 3 {
+				edges = append(edges, [3]float64{v, v + 4, 1})
+			}
+		}
+	}
+	edges = append(edges, [3]float64{0, 5, 2}, [3]float64{6, 11, 2}, [3]float64{9, 14, 2})
+	grid := weighted(16, false, edges)
+	dj = NewDijkstra(grid)
+	for _, pair := range [][2]int32{{0, 15}, {15, 0}, {1, 14}} {
+		s, tt := pair[0], pair[1]
+		paths := dagPaths(grid, s, tt)
+		sigma, _, _ := dj.SigmaDist(s, tt)
+		if sigma != float64(len(paths)) {
+			t.Fatalf("(%d,%d): σ = %g, DAG holds %d paths", s, tt, sigma, len(paths))
+		}
+		crossings := map[[2]int32]bool{}
+		for _, e := range dj.cross {
+			crossings[[2]int32{e.u, e.v}] = true
+		}
+		hops := map[int]bool{}
+		for _, p := range paths {
+			hops[len(p)] = true
+		}
+		if len(crossings) < 2 || len(hops) < 2 {
+			t.Fatalf("(%d,%d): %d crossing edges and %d hop counts; the case must have several of each",
+				s, tt, len(crossings), len(hops))
+		}
+		const perPath = 400
+		counts := map[string]int{}
+		for i := 0; i < perPath*len(paths); i++ {
+			counts[fmt.Sprint(dj.Sample(s, tt, r).Path)]++
+		}
+		var chi2 float64
+		for _, p := range paths {
+			d := float64(counts[fmt.Sprint(p)] - perPath)
+			chi2 += d * d / perPath
+			delete(counts, fmt.Sprint(p))
+		}
+		if len(counts) > 0 {
+			t.Fatalf("(%d,%d): sampled paths outside the DAG: %v", s, tt, counts)
+		}
+		crit := chiSquareCritical(len(paths) - 1)
+		t.Logf("(%d,%d): %d paths, %d crossing edges, χ² = %.1f (critical %.1f)",
+			s, tt, len(paths), len(crossings), chi2, crit)
+		if chi2 > crit {
+			t.Fatalf("(%d,%d): χ² = %.1f over %d paths exceeds %.1f (p = 0.001)", s, tt, chi2, len(paths), crit)
+		}
+	}
+}
+
+// dagPaths enumerates every shortest s–t path of a weighted graph by
+// walking DijkstraSSSP's shortest-path DAG back from t.
+func dagPaths(g *graph.Graph, s, t int32) [][]int32 {
+	dist, _, _ := DijkstraSSSP(g, s)
+	var paths [][]int32
+	var walk func(cur int32, rev []int32)
+	walk = func(cur int32, rev []int32) {
+		rev = append(rev, cur)
+		if cur == s {
+			p := make([]int32, len(rev))
+			for i, v := range rev {
+				p[len(rev)-1-i] = v
+			}
+			paths = append(paths, p)
+			return
+		}
+		wts := g.InWeights(cur)
+		for i, w := range g.InNeighbors(cur) {
+			if dist[w] < dist[cur] && SameWeightedDist(dist[w]+wts[i], dist[cur]) {
+				walk(w, rev)
+			}
+		}
+	}
+	walk(t, nil)
+	return paths
+}
+
+// chiSquareCritical is the Wilson–Hilferty approximation of the χ²
+// quantile at p = 0.001 for df degrees of freedom.
+func chiSquareCritical(df int) float64 {
+	const z = 3.090 // standard normal quantile at 0.999
+	k := float64(df)
+	c := 1 - 2/(9*k) + z*math.Sqrt(2/(9*k))
+	return k * c * c * c
+}
+
+// sameDistMathMax is sameDist as first written, with math.Max: the
+// reference the inlinable version must reproduce on every input.
+func sameDistMathMax(a, b float64) bool {
+	if math.IsInf(a, 1) || math.IsInf(b, 1) {
+		return math.IsInf(a, 1) && math.IsInf(b, 1)
+	}
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	m := math.Max(math.Abs(a), math.Abs(b))
+	return d <= weightTol*math.Max(1, m)
+}
+
+// TestSameDistTable pins the tie test on equal values, near-ties at the
+// 1e-9 relative tolerance, values below 1, ±Inf and NaN, in both argument
+// orders, against the math.Max formulation it replaced.
+func TestSameDistTable(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		a, b float64
+		want bool
+	}{
+		{3, 3, true},
+		{0, 0, true},
+		{0, math.Copysign(0, -1), true},
+		{-3, -3, true},
+		{0.1 + 0.2, 0.3, true},
+		{0.1 + 0.7, 0.8, true},
+		{1e6, 1e6 + 5e-4, true},  // 0.5e-9 relative
+		{1e6, 1e6 + 2e-3, false}, // 2e-9 relative
+		{-1e6, -1e6 - 5e-4, true},
+		{1, 1 + 2e-9, false},
+		{0.5, 0.5 + 5e-10, true}, // below 1 the tolerance is absolute
+		{0.5, 0.5 + 2e-9, false},
+		{1e-12, 0, true},
+		{1e-8, 0, false},
+		{math.MaxFloat64, math.MaxFloat64, true},
+		{inf, inf, true},
+		{inf, 5, false},
+		{inf, math.MaxFloat64, false},
+		{-inf, 5, true}, // |−Inf − 5| = Inf <= 1e-9·Inf
+		{-inf, -inf, false},
+		{inf, -inf, false},
+		{nan, nan, false},
+		{nan, 1, false},
+		{nan, 0, false},
+		{nan, inf, false},
+		{nan, -inf, false},
+	} {
+		for _, ab := range [][2]float64{{c.a, c.b}, {c.b, c.a}} {
+			got, ref := sameDist(ab[0], ab[1]), sameDistMathMax(ab[0], ab[1])
+			if got != c.want || ref != c.want {
+				t.Errorf("sameDist(%g, %g) = %v, math.Max formulation %v, want %v", ab[0], ab[1], got, ref, c.want)
+			}
+		}
 	}
 }
 

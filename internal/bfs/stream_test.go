@@ -15,12 +15,15 @@ import (
 	"gbc/internal/xrand"
 )
 
-// updateStream re-records the digests. The point of the test is that a
-// faster kernel reproduces the recorded stream, so re-record only for a
-// deliberate change of what the sampler draws.
-var updateStream = flag.Bool("update", false, "rewrite testdata/sample_stream.json from the current sampler")
+// updateStream re-records the digests. The point of the stream tests is
+// that a faster kernel reproduces the recorded stream, so re-record only
+// for a deliberate change of what a sampler draws.
+var updateStream = flag.Bool("update", false, "rewrite the testdata/*_stream.json digests from the current samplers")
 
-const streamGoldenPath = "testdata/sample_stream.json"
+const (
+	streamGoldenPath         = "testdata/sample_stream.json"
+	dijkstraStreamGoldenPath = "testdata/dijkstra_stream.json"
+)
 
 // streamPairs is the number of uniform pairs drawn per shape.
 const streamPairs = 5000
@@ -55,18 +58,24 @@ func streamShapes() []streamShape {
 	}
 }
 
+// streamPairList is streamPairs uniform pairs of distinct nodes of g.
+func streamPairList(g *graph.Graph, seed uint64) [][2]int32 {
+	pr := xrand.New(seed)
+	pairs := make([][2]int32, streamPairs)
+	for i := range pairs {
+		a, b := pr.IntnPair(g.N())
+		pairs[i] = [2]int32{int32(a), int32(b)}
+	}
+	return pairs
+}
+
 // sampleStream draws the shape's pairs through one sampler, each draw on
 // its own RNG stream as sampling lanes do, and digests the outputs. It also
 // counts the reachable draws whose last expansion was forward and
 // backward, the two ways the meeting level is finished.
 func sampleStream(g *graph.Graph) (out streamDigest, forwardLast, backwardLast int) {
 	bd := NewBidirectional(g)
-	pr := xrand.New(185)
-	pairs := make([][2]int32, streamPairs)
-	for i := range pairs {
-		a, b := pr.IntnPair(g.N())
-		pairs[i] = [2]int32{int32(a), int32(b)}
-	}
+	pairs := streamPairList(g, 185)
 	r := xrand.New(0)
 	h := sha256.New()
 	var rec []byte
@@ -139,17 +148,27 @@ func TestBidirectionalSampleStream(t *testing.T) {
 			t.Errorf("%s: last expansion forward %d times, backward %d; want both", sh.name, fwd, bwd)
 		}
 	}
+	checkStreamGolden(t, streamGoldenPath, got)
+	if got["dpa"].UnreachablePairs == 0 {
+		t.Error("dpa: no unreachable pairs; the shape no longer exercises the unreachable exit")
+	}
+}
+
+// checkStreamGolden compares the digests with the golden file at path, or
+// rewrites it under -update.
+func checkStreamGolden(t *testing.T, path string, got map[string]streamDigest) {
+	t.Helper()
 	if *updateStream {
 		data, err := json.MarshalIndent(got, "", "\t")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(streamGoldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(streamGoldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +184,108 @@ func TestBidirectionalSampleStream(t *testing.T) {
 			t.Errorf("%s: stream %+v, golden %+v", name, g, w)
 		}
 	}
+}
+
+// withStreamWeights is g with each edge weighted by weight(r), in edge
+// order.
+func withStreamWeights(g *graph.Graph, seed uint64, weight func(*xrand.Rand) float64) *graph.Graph {
+	r := xrand.New(seed)
+	b := graph.NewBuilder(g.N(), g.Directed())
+	g.Edges(func(u, v int32) bool {
+		b.AddWeightedEdge(u, v, weight(r))
+		return true
+	})
+	wg, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return wg
+}
+
+// dijkstraStreamShapes are preferential attachment with weights 1..8 at
+// n = 400 (the shape of gbcbench solve-mix's weighted graph), directed
+// preferential attachment with weights 1..8 and unreachable pairs, and a
+// Watts–Strogatz ring with dyadic weights k/4, k in 1..8.
+func dijkstraStreamShapes() []streamShape {
+	oneToEight := func(r *xrand.Rand) float64 { return float64(1 + r.Intn(8)) }
+	quarters := func(r *xrand.Rand) float64 { return float64(1+r.Intn(8)) / 4 }
+	return []streamShape{
+		{"ba-400", withStreamWeights(gen.BarabasiAlbert(400, 3, xrand.New(191)), 192, oneToEight)},
+		{"dpa", withStreamWeights(gen.DirectedPreferential(1500, 3, 0.3, xrand.New(193)), 194, oneToEight)},
+		{"ws", withStreamWeights(gen.WattsStrogatz(1500, 3, 0.05, xrand.New(195)), 196, quarters)},
+	}
+}
+
+// dijkstraStream is sampleStream for the weighted sampler: it digests each
+// AppendSample draw's path, σ bits, Dist, WeightedDist bits (reachable
+// draws), Reachable and the draw's RNG's next output, then SigmaDist's σ
+// and d bits and reachability on the same pairs, each with the
+// EdgesScanned total after its pass.
+func dijkstraStream(g *graph.Graph) (out streamDigest) {
+	dj := NewDijkstra(g)
+	pairs := streamPairList(g, 197)
+	r := xrand.New(0)
+	h := sha256.New()
+	var rec []byte
+	var buf []int32
+	for i, p := range pairs {
+		r.Reseed(198, uint64(i))
+		var smp Sample
+		smp, buf = dj.AppendSample(buf[:0], p[0], p[1], r)
+		rec = rec[:0]
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(len(smp.Path)))
+		for _, v := range smp.Path {
+			rec = binary.LittleEndian.AppendUint32(rec, uint32(v))
+		}
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(smp.Sigma))
+		rec = binary.LittleEndian.AppendUint32(rec, uint32(smp.Dist))
+		if smp.Reachable {
+			rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(dj.WeightedDist))
+			rec = append(rec, 1)
+		} else {
+			rec = append(rec, 0)
+			out.UnreachablePairs++
+		}
+		rec = binary.LittleEndian.AppendUint64(rec, r.Uint64())
+		h.Write(rec)
+	}
+	out.SampleEdges = dj.EdgesScanned
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(out.SampleEdges)))
+	out.Samples = hex.EncodeToString(h.Sum(nil))
+
+	h.Reset()
+	start := dj.EdgesScanned
+	for _, p := range pairs {
+		sigma, dist, ok := dj.SigmaDist(p[0], p[1])
+		rec = rec[:0]
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(sigma))
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(dist))
+		if ok {
+			rec = append(rec, 1)
+		} else {
+			rec = append(rec, 0)
+		}
+		h.Write(rec)
+	}
+	out.SigmaDistEdges = dj.EdgesScanned - start
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(out.SigmaDistEdges)))
+	out.SigmaDist = hex.EncodeToString(h.Sum(nil))
+	return out
+}
+
+// TestDijkstraSampleStream pins the weighted sampler's output stream on
+// three graph shapes to digests recorded with the bidirectional Dijkstra:
+// paths, σ, hop and weighted distances, RNG consumption and the
+// EdgesScanned count must all be unchanged by any later optimisation of
+// the kernel.
+func TestDijkstraSampleStream(t *testing.T) {
+	got := map[string]streamDigest{}
+	for _, sh := range dijkstraStreamShapes() {
+		got[sh.name] = dijkstraStream(sh.g)
+		t.Logf("%s: %d edges scanned per draw, unreachable %d",
+			sh.name, got[sh.name].SampleEdges/streamPairs, got[sh.name].UnreachablePairs)
+	}
+	checkStreamGolden(t, dijkstraStreamGoldenPath, got)
 	if got["dpa"].UnreachablePairs == 0 {
 		t.Error("dpa: no unreachable pairs; the shape no longer exercises the unreachable exit")
 	}

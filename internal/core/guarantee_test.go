@@ -14,7 +14,8 @@ import (
 // empirically: over many independent runs, the fraction achieving
 // B(C) >= (1-1/e-ε)·opt must be at least 1-γ (up to binomial noise).
 // In practice greedy lands far above the bound, so the observed failure
-// rate should be zero.
+// rate should be zero. The weighted graph runs the Dijkstra sampler, and
+// OPT comes from the weighted exact evaluator.
 func TestApproximationGuaranteeSuccessRate(t *testing.T) {
 	r := xrand.New(301)
 	graphs := []struct {
@@ -28,6 +29,11 @@ func TestApproximationGuaranteeSuccessRate(t *testing.T) {
 		}},
 		{"directed", func() *gencase {
 			g := gen.ErdosRenyiGNM(20, 70, true, r.Split())
+			_, opt := exact.BruteForceOptimal(g, 2)
+			return &gencase{g: g, opt: opt}
+		}},
+		{"weighted", func() *gencase {
+			g := randomWeighted(20, 302)
 			_, opt := exact.BruteForceOptimal(g, 2)
 			return &gencase{g: g, opt: opt}
 		}},

@@ -172,7 +172,7 @@ func NewForwardSet(g *graph.Graph, r *xrand.Rand) *Set {
 	return newGraphFactorySet(g, r, func(g *graph.Graph) PairSampler { return bfs.NewForward(g) })
 }
 
-// NewWeightedSet is a Set backed by truncated Dijkstra samplers for
+// NewWeightedSet is a Set backed by bidirectional Dijkstra samplers for
 // weighted graphs. It panics if g is unweighted — an internal invariant:
 // every exported entry point picks the sampler by g.Weighted() (NewSetFor)
 // or validates the graph before construction.

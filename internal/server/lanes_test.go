@@ -82,11 +82,12 @@ func TestTopKLaneBudgetHelperLanes(t *testing.T) {
 // exact.BruteForceOptimal, gbcd answers every request from the solve,
 // coalesced and memo paths with lane budgets of 1 and GOMAXPROCS, and with
 // version-1 growth through two shard workers; request workers are 0, 1
-// and 8. Each graph is then patched, and every seed is answered again from
-// its family's repaired samples on version 2. Each answer must equal
-// gbc.Solve on the same version and seed bit for bit and reach
-// (1−1/e−ε)·OPT of that version, with failures per cell within that test's
-// binomial bound of γ.
+// and 8. Each graph is then patched, and every seed is answered again on
+// version 2: from its family's repaired samples on the unweighted graphs,
+// and from a cold rebuild on the weighted one, whose Dijkstra samples
+// carry no observation bounds. Each answer must equal gbc.Solve on the
+// same version and seed bit for bit and reach (1−1/e−ε)·OPT of that
+// version, with failures per cell within that test's binomial bound of γ.
 func TestServedAnswersConformAcrossLaneBudgets(t *testing.T) {
 	r := xrand.New(301)
 	graphs := []struct {
@@ -95,6 +96,7 @@ func TestServedAnswersConformAcrossLaneBudgets(t *testing.T) {
 	}{
 		{"er", gen.ErdosRenyiGNM(22, 55, false, r.Split())},
 		{"directed", gen.ErdosRenyiGNM(20, 70, true, r.Split())},
+		{"weighted", weightedConformanceGraph(20, 302)},
 	}
 	const (
 		k           = 2
@@ -172,17 +174,26 @@ func TestServedAnswersConformAcrossLaneBudgets(t *testing.T) {
 					if topo.shards > 0 {
 						e.Shard, e.ShardKey = s.Cluster(), name
 					}
-					var repaired int64
+					before := m.Snapshot()
 					for vi := range versions[gi] {
 						v := versions[gi][vi]
 						if vi == 1 {
 							// Every family on the graph now holds version-1
-							// samples; the next solve on each repairs them.
-							repaired = m.Snapshot().SamplesRepaired
+							// samples; the next solve on each repairs them,
+							// or rebuilds them cold on the weighted graph.
+							epochs := before.ShardEpochs
+							before = m.Snapshot()
+							if topo.shards > 0 && c.g.Weighted() && before.ShardEpochs == epochs {
+								t.Fatalf("%s: version-1 growth did not go through the shard workers", name)
+							}
 							del, ins := patches[gi].Delete[0], patches[gi].Insert[0]
+							insert := map[string]any{"u": ins.U, "v": ins.V}
+							if c.g.Weighted() {
+								insert["w"] = ins.W
+							}
 							if status, body := patchJSON(t, ts.URL+"/v1/graphs/"+name, map[string]any{
 								"delete": []map[string]any{{"u": del.U, "v": del.V}},
-								"insert": []map[string]any{{"u": ins.U, "v": ins.V}},
+								"insert": []map[string]any{insert},
 							}); status != http.StatusOK {
 								t.Fatalf("%s: patch: %d %s", name, status, body)
 							}
@@ -223,8 +234,13 @@ func TestServedAnswersConformAcrossLaneBudgets(t *testing.T) {
 							}
 						}
 					}
-					if n := m.Snapshot().SamplesRepaired - repaired; n == 0 {
+					after := m.Snapshot()
+					switch {
+					case !c.g.Weighted() && after.SamplesRepaired == before.SamplesRepaired:
 						t.Fatalf("%s: the version-2 solves redrew no repaired samples", name)
+					case c.g.Weighted() && (after.RepairRuns != before.RepairRuns || after.Samples == before.Samples):
+						t.Fatalf("%s: version 2 ran %d repairs and drew %d samples; want a cold rebuild",
+							name, after.RepairRuns-before.RepairRuns, after.Samples-before.Samples)
 					}
 				}
 			}
@@ -243,9 +259,29 @@ func TestServedAnswersConformAcrossLaneBudgets(t *testing.T) {
 	}
 }
 
+// weightedConformanceGraph is an n-node connected undirected graph with
+// integer weights 1..4: a random tree plus one random edge per node, as
+// core's randomWeighted builds it.
+func weightedConformanceGraph(n int, seed uint64) *graph.Graph {
+	r := xrand.New(seed)
+	b := graph.NewBuilder(n, false)
+	for v := 1; v < n; v++ {
+		b.AddWeightedEdge(int32(v), int32(r.Intn(v)), float64(1+r.Intn(4)))
+		if v > 2 {
+			u, w := r.IntnPair(v)
+			b.AddWeightedEdge(int32(u), int32(w), float64(1+r.Intn(4)))
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // conformancePatch is a two-edge delta for g: it deletes the first edge of
 // the first node that has one and inserts the first edge absent from the
-// last node.
+// last node, with weight 2 on a weighted graph.
 func conformancePatch(g *graph.Graph) *graph.Delta {
 	u := int32(0)
 	for g.OutDegree(u) == 0 {
@@ -257,7 +293,11 @@ func conformancePatch(g *graph.Graph) *graph.Delta {
 	for b == a || g.HasEdge(a, b) {
 		b++
 	}
-	return &graph.Delta{Delete: []graph.DeltaEdge{del}, Insert: []graph.DeltaEdge{{U: a, V: b}}}
+	ins := graph.DeltaEdge{U: a, V: b}
+	if g.Weighted() {
+		ins.W = 2
+	}
+	return &graph.Delta{Delete: []graph.DeltaEdge{del}, Insert: []graph.DeltaEdge{ins}}
 }
 
 // coalescedSolve sends 1+followers copies of a freshness-"exact" request

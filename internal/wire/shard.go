@@ -23,7 +23,7 @@ import (
 // ShardProtocolVersion is the version every shard message carries. Bump it
 // whenever an encoding below changes shape or meaning; coordinator and
 // worker refuse to interoperate across a bump.
-const ShardProtocolVersion = 1
+const ShardProtocolVersion = 2
 
 // Sampler kind names as they travel in an EpochRequest. They select which
 // per-pair sampler the worker draws with; the coordinator picks the kind

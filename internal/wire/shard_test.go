@@ -49,7 +49,7 @@ func TestArenaPayloadFrozenLayout(t *testing.T) {
 	got := p.AppendBinary(nil)
 	want := []byte{
 		'G', 'B', 'S', 'P', // magic
-		1, 0, 0, 0, // protocol version, uint32 LE
+		2, 0, 0, 0, // protocol version, uint32 LE
 		1, 0, 0, 0, 0, 0, 0, 0, // start
 		1, 0, 0, 0, 0, 0, 0, 0, // count
 		1, 0, 0, 0, 0, 0, 0, 0, // nodes length

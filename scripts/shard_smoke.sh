@@ -83,7 +83,7 @@ curl -fsS "$SHARD2/healthz" >/dev/null || fail "shard 2 healthz unreachable"
 # A key escaping the shard root is a typed 400 naming it.
 for escape in "$TMP/data/../outside.gbcsr" "$TMP/data/link.gbcsr"; do
     code="$(curl -sS -o "$TMP/escape.json" -w '%{http_code}' -X POST "$SHARD1/v1/shard/epoch" \
-        -d "{\"protocol\":1,\"graph\":\"$escape\",\"sampler\":\"bidirectional\",\"count\":1}")"
+        -d "{\"protocol\":2,\"graph\":\"$escape\",\"sampler\":\"bidirectional\",\"count\":1}")"
     [ "$code" = 400 ] && grep -qF "$escape" "$TMP/escape.json" \
         || fail "epoch request for $escape answered $code: $(cat "$TMP/escape.json")"
 done
@@ -115,7 +115,7 @@ diff -u "$TMP/single.cmp" "$TMP/sharded.cmp" \
 # The cluster surface must show both workers alive and actually used — a
 # silent local fallback would also pass the diff above.
 curl -fsS "$COORD/v1/cluster" >"$TMP/cluster.json" || fail "/v1/cluster unreachable"
-grep -q '"protocol":1' "$TMP/cluster.json" || fail "cluster missing protocol: $(cat "$TMP/cluster.json")"
+grep -q '"protocol":2' "$TMP/cluster.json" || fail "cluster missing protocol: $(cat "$TMP/cluster.json")"
 grep -q '"live":2' "$TMP/cluster.json" || fail "cluster not reporting 2 live shards: $(cat "$TMP/cluster.json")"
 python3 -c 'import json, sys
 c = json.load(open(sys.argv[1]))

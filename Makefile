@@ -78,7 +78,9 @@ patch-smoke:
 # two edge-list parsers, the binary .gbcsr decoder, the shard payload
 # decoder and the shard worker's epoch request body), the bidirectional
 # sampler checked against the forward reference and the Dijkstra sampler
-# checked against DijkstraSSSP, both on small graphs.
+# checked against DijkstraSSSP, both on small graphs, and the coverage
+# engine's Add/Extend/Reset/Splice/Commit interleavings checked against a
+# model rebuilt from the live paths.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadEdgeList$$ -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzReadWeightedEdgeList -fuzztime 10s ./internal/graph
@@ -87,6 +89,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzWorkerEpoch -fuzztime 10s ./internal/shard
 	$(GO) test -run xxx -fuzz FuzzBidirectionalSample -fuzztime 10s ./internal/bfs
 	$(GO) test -run xxx -fuzz FuzzDijkstraSample -fuzztime 10s ./internal/bfs
+	$(GO) test -run xxx -fuzz FuzzInstanceOps -fuzztime 10s ./internal/coverage
 
 cover:
 	$(GO) test -cover ./...
@@ -104,9 +107,12 @@ bench-scaling:
 
 # One-op race-checked pass over the warm growth benchmarks at workers
 # {1,2,4,8} — the CI guard that keeps the lane fork-join data-race-free
-# without paying for a full benchmark run.
+# without paying for a full benchmark run — and over the stored-sample
+# solve benchmark, which keeps its commit/greedy split compiling and
+# running.
 bench-smoke:
 	$(GO) test -race -run xxx -bench 'BenchmarkSamplingGrowWarm' -benchtime=1x .
+	$(GO) test -race -run xxx -bench 'BenchmarkServedSolveStoredSamples' -benchtime=1x .
 
 # Vet and smoke-test cmd/gbcbench, the end-to-end benchmark. It is a module
 # of its own, so the root build, vet and tests do not compile it; this

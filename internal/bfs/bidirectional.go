@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"unsafe"
+
 	"gbc/internal/graph"
 	"gbc/internal/xrand"
 )
@@ -129,6 +131,18 @@ func NewBidirectional(g *graph.Graph) *Bidirectional {
 		panic("bfs: NewBidirectional on a weighted graph; use NewDijkstra")
 	}
 	return &Bidirectional{g: g, f: newSide(g.N()), b: newSide(g.N())}
+}
+
+// MemoryFootprint returns the bytes the sampler's workspace retains: both
+// sides' per-node state and label lists and the crossing-edge scratch, at
+// capacity.
+func (b *Bidirectional) MemoryFootprint() int64 {
+	return b.f.footprint() + b.b.footprint() + int64(cap(b.cross))*int64(unsafe.Sizeof(crossEdge{}))
+}
+
+func (s *side) footprint() int64 {
+	return int64(cap(s.state))*int64(unsafe.Sizeof(nodeState{})) +
+		int64(cap(s.order))*4 + int64(cap(s.levelOff))*8
 }
 
 // expand processes one full BFS level of the chosen side, labeling the next

@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"math"
+	"unsafe"
 
 	"gbc/internal/graph"
 	"gbc/internal/xrand"
@@ -240,6 +241,20 @@ func NewDijkstra(g *graph.Graph) *Dijkstra {
 		panic("bfs: NewDijkstra on an unweighted graph")
 	}
 	return &Dijkstra{g: g, f: newDside(g.N()), b: newDside(g.N())}
+}
+
+// MemoryFootprint returns the bytes the sampler's workspace retains: both
+// searches' per-node state, label lists and heaps and the crossing-edge
+// and path-walk scratch, at capacity.
+func (dj *Dijkstra) MemoryFootprint() int64 {
+	return dj.f.footprint() + dj.b.footprint() +
+		int64(cap(dj.cross))*int64(unsafe.Sizeof(crossEdge{})) + int64(cap(dj.walk))*4
+}
+
+func (sd *dside) footprint() int64 {
+	return int64(cap(sd.node))*int64(unsafe.Sizeof(wnode{})) +
+		int64(cap(sd.labeled)+cap(sd.settled))*4 +
+		int64(cap(sd.h))*int64(unsafe.Sizeof(distEntry{}))
 }
 
 // settle settles the closest unsettled node of one side (its heap top,

@@ -34,6 +34,12 @@ func NewForward(g *graph.Graph) *Forward {
 	return &Forward{g: g, dist: d, sigma: make([]float64, g.N())}
 }
 
+// MemoryFootprint returns the bytes the sampler's workspace retains, at
+// capacity.
+func (f *Forward) MemoryFootprint() int64 {
+	return int64(cap(f.dist))*4 + int64(cap(f.sigma))*8 + int64(cap(f.order))*4
+}
+
 // run performs the truncated BFS; afterwards dist/sigma are valid for all
 // nodes at distance <= dist[t] (or the whole reachable set if unreachable).
 func (f *Forward) run(s, t int32) bool {

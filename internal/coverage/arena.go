@@ -60,23 +60,28 @@ func (a *PathArena) AppendArena(src *PathArena) {
 // AddArenas bulk-appends every path of every arena, in arena order — the
 // contiguous-block split the EWMA-sized sampling lanes produce (lane w
 // draws one contiguous index range, so concatenating the arenas in lane
-// order reproduces exact global index order). Empty ranges are appended as
-// null samples; their count is returned so the caller can maintain its
-// unreachable count. Like Add, AddArenas never touches the inverted index
-// — Commit folds the new paths in at the next growth boundary — and
-// discards stored paths beyond Len first.
+// order reproduces exact global index order). Each arena costs one bulk
+// copy of its nodes and one pass rebasing its offsets, which also counts
+// its empty ranges: those are null samples, and their count is returned
+// so the caller can maintain its unreachable count. Like Add, AddArenas
+// never touches the inverted index — Commit folds the new paths in at the
+// next growth boundary — and discards stored paths beyond Len first.
 func (c *Instance) AddArenas(arenas []*PathArena) (nulls int) {
 	c.dropStored()
 	for _, a := range arenas {
-		for k := 0; k < a.Len(); k++ {
-			lo, hi := a.Offsets[k], a.Offsets[k+1]
-			if lo == hi {
+		k := a.Len()
+		if k == 0 {
+			continue
+		}
+		base := int64(len(c.nodes))
+		c.nodes = append(c.nodes, a.Nodes[:a.Offsets[k]]...)
+		for i, off := range a.Offsets[1 : k+1] {
+			if off == a.Offsets[i] {
 				nulls++
 			}
-			c.nodes = append(c.nodes, a.Nodes[lo:hi]...)
-			c.offsets = append(c.offsets, int64(len(c.nodes)))
+			c.offsets = append(c.offsets, base+int64(off))
 		}
-		c.length += a.Len()
+		c.length += k
 	}
 	return nulls
 }

@@ -11,21 +11,29 @@
 //
 // Memory layout (the "flat engine"): sampled paths live in one shared
 // append-only arena (a node buffer plus an offsets array; a null sample is
-// an empty range), and the node→samples inverted index is a CSR — one flat
-// id buffer plus per-node row starts — rebuilt incrementally by Commit at
-// growth boundaries instead of being append-per-node on every Add. All
-// query methods share one epoch-stamped workspace, so re-running Greedy,
-// GreedyReference, GreedyBudgeted or CoveredBy on a grown instance
-// allocates (almost) nothing. An Instance is not safe for concurrent use.
+// an empty range). The node→samples inverted index is one flat id buffer
+// holding a row per node, each row with spare capacity. Commit appends the
+// ids of the paths added since the last Commit to their nodes' rows, so it
+// costs the entries it adds; only a row that is full moves, to the tail of
+// the buffer with about half again its capacity, and a buffer that must
+// grow is compacted instead once moved rows have abandoned more than a
+// quarter of it. All query methods
+// share one epoch-stamped workspace, so re-running Greedy, GreedyReference,
+// GreedyBudgeted or CoveredBy on a grown instance allocates (almost)
+// nothing. An Instance is not safe for concurrent use.
 //
 // The arena may hold more paths than the instance currently exposes:
-// Reset rewinds Len to zero but keeps the stored paths, and Extend
-// re-admits them in order, so a caller whose paths are a pure function of
-// their index (the sampling layer) regrows a rewound instance without
-// re-deriving them.
+// Reset rewinds Len to zero but keeps the stored paths and every row's
+// capacity, and Extend re-admits the stored paths in order, so a caller
+// whose paths are a pure function of their index (the sampling layer)
+// regrows a rewound instance without re-deriving the paths or moving a
+// row.
 package coverage
 
-import "container/heap"
+import (
+	"math"
+	"slices"
+)
 
 // Instance is a growable max-coverage instance over nodes 0..n-1.
 type Instance struct {
@@ -39,29 +47,38 @@ type Instance struct {
 	offsets []int64 // len = Stored()+1, offsets[0] = 0, non-decreasing
 	length  int
 
-	// CSR inverted index over the first `indexed` paths: the ids of the
-	// paths containing node v are idx[idxStart[v]:idxStart[v+1]], in
-	// ascending id order. Paths added after the last Commit are present in
-	// the arena but not yet in the index.
-	idx      []int32
-	idxStart []int64 // len n+1
-	indexed  int
-
-	// Commit scratch, allocated once: cnt holds per-node tail counts and is
-	// then reused as fill cursors (always zeroed again before Commit
-	// returns); startNew double-buffers idxStart across rebuilds.
-	cnt      []int64
-	startNew []int64
+	// Inverted index over the first `indexed` paths: the ids of the paths
+	// containing node v are idx[rows[v].off:][:rows[v].len], in ascending
+	// id order, and idx[rows[v].off:][:rows[v].cap] is the room the row
+	// owns. A row that fills up moves to the tail of idx (relocate); the
+	// slots it leaves are abandoned and counted in dead until a compaction
+	// drops them. Paths added after the last Commit are present in the
+	// arena but not yet in the index.
+	idx     []int32
+	rows    []row // len n
+	dead    int
+	indexed int
 
 	ws workspace
 }
 
+// row locates one node's id row in Instance.idx. The three int32 fields
+// are 12 bytes per node; relocate and Splice panic rather than let idx
+// pass 2^31 entries.
+type row struct {
+	off, len, cap int32
+}
+
+// minRowGrowth is added to half a row's capacity when the row moves, so a
+// short row does not move on every append.
+const minRowGrowth = 2
+
 // New returns an empty instance over n nodes.
 func New(n int) *Instance {
 	return &Instance{
-		n:        n,
-		offsets:  make([]int64, 1, 64),
-		idxStart: make([]int64, n+1),
+		n:       n,
+		offsets: make([]int64, 1, 64),
+		rows:    make([]row, n),
 	}
 }
 
@@ -112,103 +129,104 @@ func (c *Instance) Extend(l int) (nulls int) {
 	return nulls
 }
 
-// Commit folds every path added since the previous Commit into the CSR
-// inverted index. The rebuild is incremental: existing rows slide right to
-// make room (one overlapping copy per shifted row, highest node first) and
-// only the new tail of the arena is scanned to fill in fresh ids, so a
-// geometric growth schedule pays O(final index size) in total. Every query
-// method calls Commit itself; the sampling layer additionally calls it at
-// growth boundaries — which PR 1's all-or-nothing chunk contract guarantees
-// are chunk boundaries — so queries never pay for index construction.
+// Commit folds every path added since the previous Commit into the
+// inverted index: each new path id is appended to the rows of its nodes,
+// so rows stay ascending and the cost is the entries added. A row with no
+// room left moves first (relocate). After a Reset the rows keep their
+// capacity, so re-admitting the same stored paths moves no row and
+// allocates nothing. Every query method calls Commit itself; the sampling
+// layer additionally calls it at growth boundaries — which its
+// all-or-nothing chunk contract guarantees are chunk boundaries — so
+// queries never pay for index construction.
 func (c *Instance) Commit() {
-	total := c.length
-	if c.indexed == total {
-		return
+	if c.length > math.MaxInt32 {
+		panic("coverage: more than 2^31 paths")
 	}
-	if c.cnt == nil {
-		c.cnt = make([]int64, c.n)
-		c.startNew = make([]int64, c.n+1)
-	}
-	cnt := c.cnt
-
-	// Per-node occurrence counts of the uncommitted tail.
-	for _, v := range c.nodes[c.offsets[c.indexed]:c.offsets[total]] {
-		cnt[v]++
-	}
-
-	// New row starts: previous row length plus tail count.
-	old := c.idxStart
-	ns := c.startNew
-	ns[0] = 0
-	for v := 0; v < c.n; v++ {
-		ns[v+1] = ns[v] + (old[v+1] - old[v]) + cnt[v]
-	}
-
-	// Grow the id buffer with amortized slack.
-	need := ns[c.n]
-	if int64(cap(c.idx)) < need {
-		bigger := make([]int32, need, need+need/2)
-		copy(bigger, c.idx)
-		c.idx = bigger
-	}
-	c.idx = c.idx[:need]
-
-	// Slide existing rows right into place, highest node first: each
-	// destination starts at or right of its source and right of every
-	// still-unmoved row, and copy handles the self-overlap. Rows stop
-	// shifting as soon as no node below has new ids.
-	for v := c.n - 1; v >= 0; v-- {
-		o := old[v]
-		if o == ns[v] {
-			break
-		}
-		copy(c.idx[ns[v]:ns[v]+(old[v+1]-o)], c.idx[o:old[v+1]])
-	}
-
-	// Fill the fresh ids in path order; per-node cursors start right after
-	// each row's existing ids, so rows stay sorted ascending.
-	for v := 0; v < c.n; v++ {
-		cnt[v] = ns[v+1] - cnt[v]
-	}
-	for p := c.indexed; p < total; p++ {
+	for p := c.indexed; p < c.length; p++ {
 		for _, v := range c.nodes[c.offsets[p]:c.offsets[p+1]] {
-			c.idx[cnt[v]] = int32(p)
-			cnt[v]++
+			r := &c.rows[v]
+			if r.len == r.cap {
+				c.relocate(r)
+			}
+			c.idx[r.off+r.len] = int32(p)
+			r.len++
 		}
 	}
-	for v := range cnt {
-		cnt[v] = 0
+	c.indexed = c.length
+}
+
+// relocate moves the full row r to the tail of idx with about half again
+// its capacity and abandons its old slots. When idx has no room left it
+// is compacted if abandoned slots fill more than a quarter of it, and
+// grown otherwise.
+func (c *Instance) relocate(r *row) {
+	size := int(r.cap) + int(r.cap)/2 + minRowGrowth
+	if len(c.idx)+size > math.MaxInt32 {
+		panic("coverage: inverted index exceeds 2^31 entries")
 	}
-	c.idxStart, c.startNew = ns, old
-	c.indexed = total
+	if len(c.idx)+size > cap(c.idx) && 4*c.dead > len(c.idx) {
+		c.compact(size)
+	}
+	off := len(c.idx)
+	c.idx = slices.Grow(c.idx, size)[:off+size]
+	copy(c.idx[off:], c.idx[r.off:r.off+r.len])
+	c.dead += int(r.cap)
+	r.off, r.cap = int32(off), int32(size)
+}
+
+// compact lays the rows out afresh in a new buffer, dropping the abandoned
+// slots, with room for extra more entries plus half the live size again.
+func (c *Instance) compact(extra int) {
+	live := len(c.idx) - c.dead
+	c.layout(make([]int32, live+extra+live/2), false)
 }
 
 // Reset rewinds the instance: Len and the inverted index return to zero,
 // but the stored paths stay in the arena for Extend to re-admit, and every
-// allocation (arena and index capacity, commit scratch, query workspace)
-// survives. Re-admitting stored paths and committing them rebuilds the
-// same index a fresh instance fed the same paths would build.
+// allocation survives — arena, index buffer, each row's capacity and the
+// query workspace. The emptied rows are laid out afresh, which frees the
+// abandoned slots without copying anything. Re-admitting stored paths and
+// committing them refills the rows in place, moving none that the same
+// paths filled before, and answers every query as a fresh instance fed
+// the same paths would.
 func (c *Instance) Reset() {
-	c.length = 0
-	c.idx = c.idx[:0]
-	clear(c.idxStart)
-	c.indexed = 0
+	c.length, c.indexed = 0, 0
+	c.layout(c.idx[:cap(c.idx)], true)
 }
 
-// MemoryFootprint returns the bytes retained by the instance's arena,
-// inverted index and commit scratch (capacities, not lengths — the number
-// the allocator actually holds). The observability layer publishes it as
-// the coverage-arena gauge; it costs a handful of loads, so calling it at
+// layout lays every row out in buf in node order, each keeping its
+// capacity and, unless empty is set, its ids; buf must hold the rows'
+// total capacity.
+func (c *Instance) layout(buf []int32, empty bool) {
+	off := 0
+	for v := range c.rows {
+		r := &c.rows[v]
+		if empty {
+			r.len = 0
+		} else {
+			copy(buf[off:], c.idx[r.off:r.off+r.len])
+		}
+		r.off = int32(off)
+		off += int(r.cap)
+	}
+	c.idx, c.dead = buf[:off], 0
+}
+
+// MemoryFootprint returns the bytes the instance retains: arena, index
+// buffer (abandoned slots and spare capacity included), row table and
+// query workspace, each at its capacity — the number the allocator
+// actually holds. The observability layer publishes it as the
+// coverage-arena gauge; it costs a handful of loads, so calling it at
 // growth boundaries is free.
 func (c *Instance) MemoryFootprint() int64 {
 	return int64(cap(c.nodes))*4 + int64(cap(c.offsets))*8 +
-		int64(cap(c.idx))*4 + int64(cap(c.idxStart))*8 +
-		int64(cap(c.cnt))*8 + int64(cap(c.startNew))*8
+		int64(cap(c.idx))*4 + int64(cap(c.rows))*12 + c.ws.footprint()
 }
 
 // row returns the ids of the paths containing v (valid until next Commit).
 func (c *Instance) row(v int32) []int32 {
-	return c.idx[c.idxStart[v]:c.idxStart[v+1]]
+	r := c.rows[v]
+	return c.idx[r.off : r.off+r.len]
 }
 
 // path returns the nodes of path id (empty for a null sample).
@@ -242,9 +260,12 @@ func (c *Instance) CoveredBy(group []int32) int {
 // result always has exactly k nodes. It panics if k is out of range.
 //
 // Re-runs allocate only the returned group: gains restart from the
-// persisted CSR row lengths (each node's sample count, maintained by
-// Commit) and the heap, gain array and covered/chosen marks live in the
-// instance's epoch-stamped workspace.
+// persisted row lengths (each node's sample count, maintained by Commit),
+// the heap starts as the nodes with positive gain counting-sorted into
+// heap order, and the heap, gain counts, gain array and covered/chosen
+// marks live in the instance's epoch-stamped workspace. The lazy greedy
+// picks the node of largest current gain whatever its heap holds, so the
+// group does not depend on how the heap was built.
 func (c *Instance) Greedy(k int) (group []int32, covered int) {
 	if k < 0 || k > c.n {
 		panic("coverage: k out of range")
@@ -254,15 +275,30 @@ func (c *Instance) Greedy(k int) (group []int32, covered int) {
 	ws.reset(c.n, c.Len())
 	epoch := ws.epoch
 	gain := ws.gain
-	h := ws.heap[:0]
-	for v := 0; v < c.n; v++ {
-		g := int32(c.idxStart[v+1] - c.idxStart[v])
-		gain[v] = g
+	// Counting sort by gain, descending, ids ascending within a gain: an
+	// array sorted in heap order is already a heap.
+	most := int32(0)
+	for v, r := range c.rows {
+		gain[v] = r.len
+		most = max(most, r.len)
+	}
+	at := slices.Grow(ws.counts[:0], int(most)+1)[:most+1]
+	clear(at)
+	ws.counts = at
+	for _, g := range gain {
+		at[g]++
+	}
+	size := int32(0)
+	for g := most; g > 0; g-- {
+		size, at[g] = size+at[g], size
+	}
+	h := slices.Grow(ws.heap[:0], int(size))[:size]
+	for v, g := range gain {
 		if g > 0 {
-			h = append(h, nodeGain{int32(v), g})
+			h[at[g]] = nodeGain{int32(v), g}
+			at[g]++
 		}
 	}
-	heap.Init(&h)
 
 	group = make([]int32, 0, k)
 	for len(group) < k && len(h) > 0 {
@@ -270,15 +306,14 @@ func (c *Instance) Greedy(k int) (group []int32, covered int) {
 		if top.gain != gain[top.node] {
 			// Stale priority: gains only decrease, so refresh and re-sift.
 			h[0].gain = gain[top.node]
-			heap.Fix(&h, 0)
+			h.down(0)
 			continue
 		}
-		// Pop the root in place (heap.Pop would box the element).
 		last := len(h) - 1
 		h[0] = h[last]
 		h = h[:last]
 		if last > 0 {
-			heap.Fix(&h, 0)
+			h.down(0)
 		}
 		v := top.node
 		if top.gain == 0 {

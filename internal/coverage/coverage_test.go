@@ -260,9 +260,9 @@ func TestIncrementalCommitMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestIndexRowsSortedAfterCommits checks the CSR invariant the greedy
+// TestIndexRowsSortedAfterCommits checks the index invariant the greedy
 // relies on: every node's id row stays ascending across incremental
-// rebuilds, matching the append order of the old per-node slices.
+// commits, matching the append order of the old per-node slices.
 func TestIndexRowsSortedAfterCommits(t *testing.T) {
 	r := xrand.New(78)
 	c := New(30)
@@ -348,5 +348,47 @@ func TestAddThenQueryAutoCommits(t *testing.T) {
 	c.Add([]int32{1, 2})
 	if got := c.CoveredBy([]int32{1}); got != 2 {
 		t.Fatalf("CoveredBy after second Add = %d, want 2", got)
+	}
+}
+
+// TestReadmissionMovesNoRow pins what Reset keeps: on a warm instance
+// grown along a geometric schedule, Reset → Extend → Commit refills every
+// row where Reset laid it out — no row moves, the index buffer neither
+// grows nor gains abandoned slots — and allocates nothing, for a partial
+// and a full re-admission alike.
+func TestReadmissionMovesNoRow(t *testing.T) {
+	r := xrand.New(80)
+	src := randomInstance(r, 60, 3000, 6)
+	c := New(60)
+	for l := 100.0; int(l) < src.Len(); l *= 1.1 {
+		for p := c.Len(); p < int(l); p++ {
+			c.Add(src.PathView(p))
+		}
+		c.Greedy(5)
+	}
+	stored := c.Stored()
+	laidOut := make([]row, len(c.rows))
+	for _, l := range []int{stored / 2, stored, stored} {
+		c.Reset()
+		copy(laidOut, c.rows)
+		idxLen, idxCap := len(c.idx), cap(c.idx)
+		c.Extend(l)
+		c.Commit()
+		for v, rw := range c.rows {
+			if rw.off != laidOut[v].off || rw.cap != laidOut[v].cap {
+				t.Fatalf("re-admitting %d paths moved row %d: %+v, laid out at %+v", l, v, rw, laidOut[v])
+			}
+		}
+		if len(c.idx) != idxLen || cap(c.idx) != idxCap || c.dead != 0 {
+			t.Fatalf("re-admitting %d paths changed the index buffer: len %d cap %d dead %d, was len %d cap %d",
+				l, len(c.idx), cap(c.idx), c.dead, idxLen, idxCap)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		c.Reset()
+		c.Extend(stored)
+		c.Commit()
+	}); allocs != 0 {
+		t.Fatalf("Reset, Extend, Commit: %g allocs on a warm instance, want 0", allocs)
 	}
 }

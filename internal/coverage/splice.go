@@ -1,5 +1,7 @@
 package coverage
 
+import "math"
+
 // PathView returns the nodes of stored path p (empty for a null sample).
 // The slice aliases the arena and is valid until the next mutation;
 // callers must not modify it. It is the read surface of the repair layer
@@ -18,10 +20,10 @@ func (c *Instance) PathView(p int) []int32 {
 // samples.
 //
 // The arena is rebuilt in one pass into buffers that are then swapped in,
-// so the cost is one memcpy of the arena plus a full index rebuild —
-// independent of how expensive the replaced samples were to draw, which is
-// what makes repair profitable: re-deriving a sample means a BFS, splicing
-// it means copying a few dozen bytes.
+// so the cost is one memcpy of the arena plus a full index rebuild (see
+// rebuild) — independent of how expensive the replaced samples were to
+// draw, which is what makes repair profitable: re-deriving a sample means
+// a BFS, splicing it means copying a few dozen bytes.
 func (c *Instance) Splice(ids []int, patch *PathArena) (oldNulls, newNulls int) {
 	if len(ids) != patch.Len() {
 		panic("coverage: Splice ids/patch length mismatch")
@@ -54,12 +56,28 @@ func (c *Instance) Splice(ids []int, patch *PathArena) (oldNulls, newNulls int) 
 		panic("coverage: Splice ids out of range or unsorted")
 	}
 	c.nodes, c.offsets = newNodes, newOffsets
-
-	// The index rows' path ids are unchanged but their node membership is
-	// not; rebuild from scratch through the incremental machinery.
-	c.idx = c.idx[:0]
-	clear(c.idxStart)
-	c.indexed = 0
-	c.Commit()
+	c.rebuild()
 	return oldNulls, newNulls
+}
+
+// rebuild lays the inverted index out afresh, each row with room for
+// exactly the stored paths through its node, and fills in the live ones:
+// re-admitting the stored paths after a Reset then moves no row.
+func (c *Instance) rebuild() {
+	for v := range c.rows {
+		c.rows[v] = row{}
+	}
+	for _, v := range c.nodes {
+		c.rows[v].cap++
+	}
+	if len(c.nodes) > math.MaxInt32 {
+		panic("coverage: inverted index exceeds 2^31 entries")
+	}
+	buf := c.idx[:cap(c.idx)]
+	if len(buf) < len(c.nodes) {
+		buf = make([]int32, len(c.nodes))
+	}
+	c.indexed = 0
+	c.layout(buf, true)
+	c.Commit()
 }

@@ -8,15 +8,22 @@ import "math"
 // bitset — one bit per sample instead of a 4-byte stamp — so the greedy
 // inner loops stream 32× less mark memory through the cache; clearing it
 // is a word-wise memset over only the words the query can touch. The gain
-// array and the CELF heap's backing array persist across runs, making
-// repeated Greedy/CoveredBy calls on a grown instance allocation-free
-// (apart from the returned group).
+// array, the per-gain counts and the CELF heap's backing array persist
+// across runs, making repeated Greedy/CoveredBy calls on a grown instance
+// allocation-free (apart from the returned group).
 type workspace struct {
 	epoch       int32
 	covered     []uint64 // per sample id: bit set iff covered this query
 	chosenEpoch []int32  // per node: chosen iff == epoch
 	gain        []int32  // per node: current marginal gain
 	heap        nodeHeap
+	counts      []int32 // per gain value: nodes, then heap positions
+}
+
+// footprint returns the bytes the workspace retains, at capacity.
+func (ws *workspace) footprint() int64 {
+	return int64(cap(ws.covered))*8 + int64(cap(ws.chosenEpoch))*4 +
+		int64(cap(ws.gain))*4 + int64(cap(ws.heap))*8 + int64(cap(ws.counts))*4
 }
 
 // reset sizes the workspace for n nodes and `samples` paths, clears the
@@ -57,25 +64,30 @@ type nodeGain struct {
 	gain int32
 }
 
-// nodeHeap is a max-heap on gain with ties toward smaller node ids.
+// nodeHeap is the CELF max-heap on gain with ties toward smaller node ids.
 type nodeHeap []nodeGain
 
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
-	}
-	return h[i].node < h[j].node
+// before reports whether a sits above b in the heap order.
+func (a nodeGain) before(b nodeGain) bool {
+	return a.gain > b.gain || a.gain == b.gain && a.node < b.node
 }
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-// Push and Pop exist only to satisfy heap.Interface for Init and Fix; the
-// greedy pops the root in place to avoid boxing elements through any.
-func (h *nodeHeap) Push(x any) { *h = append(*h, x.(nodeGain)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// down sifts h[i] down until neither child comes before it.
+func (h nodeHeap) down(i int) {
+	x := h[i]
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if k := j + 1; k < len(h) && h[k].before(h[j]) {
+			j = k
+		}
+		if !h[j].before(x) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = x
 }

@@ -49,6 +49,17 @@ func (d *drawState) init(n int, seed0, seed1 uint64, sampler PairSampler) {
 	d.arena.Reset()
 }
 
+// footprint returns the bytes the draw state retains: the sampler's
+// workspace, when the sampler reports it, and the arena at capacity.
+func (d *drawState) footprint() int64 {
+	var b int64
+	if f, ok := d.sampler.(interface{ MemoryFootprint() int64 }); ok {
+		b = f.MemoryFootprint()
+	}
+	a := &d.arena
+	return b + int64(cap(a.Nodes)+cap(a.Offsets)+cap(a.Obs))*4
+}
+
 // drawInto samples global index i into the given arena: reseed the RNG to
 // the index's dedicated stream, draw the pair, append the path (an
 // unreachable pair seals an empty range — a null sample).

@@ -66,7 +66,7 @@ func TestParallelIncrementalGrowth(t *testing.T) {
 // cadence — parallel growth (arena feed + chunk-boundary index commit),
 // greedy, CoveredBy, regrow — for several rounds. Under -race this is the
 // regression test for the parallel-draw scratch reuse and the incremental
-// CSR rebuilds; functionally every round must match a sequential twin.
+// index commits; functionally every round must match a sequential twin.
 func TestParallelGrowGreedyRegrowCycles(t *testing.T) {
 	g := gen.BarabasiAlbert(350, 3, xrand.New(103))
 	seq := NewBidirectionalSet(g, xrand.New(11))

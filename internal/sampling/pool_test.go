@@ -154,7 +154,7 @@ func TestWarmSequentialGrowthAllocs(t *testing.T) {
 		s.GrowTo(target)
 	})
 	// The only remaining allocations are the geometric regrowth of the
-	// instance arena / CSR index, amortized far below one per chunk; allow a
+	// instance arena / index, amortized far below one per chunk; allow a
 	// small constant so the guard is not flaky across Go versions.
 	if allocs > 4 {
 		t.Fatalf("warm sequential growth: %g allocs per chunk, want <= 4", allocs)

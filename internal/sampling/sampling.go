@@ -224,10 +224,17 @@ func (s *Set) addLane(sampler PairSampler) {
 // Len returns the number of samples in the set (null samples included).
 func (s *Set) Len() int { return s.cov.Len() }
 
-// MemoryFootprint returns the bytes the set retains for its samples: the
-// coverage engine's arena, index and scratch plus the observation bounds.
+// MemoryFootprint returns the bytes the set retains: the coverage
+// engine's arena, index and query workspace, the observation bounds, and
+// each lane's sampler workspace and arena (a set drawing under a Budget
+// keeps only lane 0 between growths). The serving layer charges it
+// against the family byte budget.
 func (s *Set) MemoryFootprint() int64 {
-	return s.cov.MemoryFootprint() + int64(cap(s.obs))*4
+	b := s.cov.MemoryFootprint() + int64(cap(s.obs))*4
+	for _, l := range s.lanes {
+		b += l.footprint()
+	}
+	return b
 }
 
 // GrowTo samples additional shortest paths until Len() == L.

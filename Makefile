@@ -9,7 +9,7 @@ all: build vet fmtcheck test
 # The exact gate .github/workflows/ci.yml runs; `make ci` reproduces a CI
 # failure locally. staticcheck/govulncheck no-op with a notice when the
 # tools aren't installed (CI installs them).
-ci: fmtcheck vet staticcheck govulncheck build test race chaos serve-smoke gbcsr-smoke patch-smoke shard-smoke bench-smoke bench-e2e-smoke
+ci: fmtcheck vet staticcheck govulncheck build test race chaos serve-smoke gbcsr-smoke patch-smoke shard-smoke bench-smoke bench-e2e-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -76,17 +76,21 @@ patch-smoke:
 
 # Short smoke run of the native Go fuzzers: the untrusted-input ones (the
 # two edge-list parsers, the binary .gbcsr decoder, the shard payload
-# decoder and the shard worker's epoch request body), the bidirectional
-# sampler checked against the forward reference and the Dijkstra sampler
-# checked against DijkstraSSSP, both on small graphs, and the coverage
-# engine's Add/Extend/Reset/Splice/Commit interleavings checked against a
-# model rebuilt from the live paths.
+# decoder, the shard worker's epoch request body and the HTTP bodies of
+# POST /v1/topk, PATCH /v1/graphs/{name} and graph upload), the
+# bidirectional sampler checked against the forward reference and the
+# Dijkstra sampler checked against DijkstraSSSP, both on small graphs, and
+# the coverage engine's Add/Extend/Reset/Splice/Commit interleavings
+# checked against a model rebuilt from the stored paths.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadEdgeList$$ -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzReadWeightedEdgeList -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzDecodeCSR -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzDecodeArenaPayload -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzWorkerEpoch -fuzztime 10s ./internal/shard
+	$(GO) test -run xxx -fuzz FuzzTopKDecode -fuzztime 10s ./internal/server
+	$(GO) test -run xxx -fuzz FuzzGraphPatchDecode -fuzztime 10s ./internal/server
+	$(GO) test -run xxx -fuzz FuzzGraphDecode -fuzztime 10s ./internal/server
 	$(GO) test -run xxx -fuzz FuzzBidirectionalSample -fuzztime 10s ./internal/bfs
 	$(GO) test -run xxx -fuzz FuzzDijkstraSample -fuzztime 10s ./internal/bfs
 	$(GO) test -run xxx -fuzz FuzzInstanceOps -fuzztime 10s ./internal/coverage

@@ -365,10 +365,13 @@ func BenchmarkCoverageCoveredBy(b *testing.B) {
 // sample-family path: the SamplerSet hook hands back Reset sets that
 // already hold every sample the solve needs, so the solve draws nothing
 // and pays for re-admitting stored samples (Extend and the index Commit),
-// greedy on S and the estimate on T. After each solve its calls are
-// replayed, untimed, on the same sets to split the time: commit-ns/op is
-// what the Reset and GrowTo calls (re-admission and Commit) took, and
-// greedy-ns/op what Greedy took.
+// greedy on S and the estimate on T. A stored-K=a/K=b case stores the
+// sets with a K=a solve and times K=b solves on them, as a family a K
+// sweep grew serves: a larger K converges on fewer samples than the family
+// stores, so every greedy runs at a length below Stored. After each solve its
+// calls are replayed, untimed, on the same sets to split the time:
+// commit-ns/op is what the Reset and GrowTo calls (re-admission and
+// Commit) took, and greedy-ns/op what Greedy took.
 func BenchmarkServedSolveStoredSamples(b *testing.B) {
 	for _, c := range []struct {
 		name, dataset string
@@ -376,17 +379,23 @@ func BenchmarkServedSolveStoredSamples(b *testing.B) {
 	}{
 		{"GrQc", "GrQc", 1},
 		{"DBLP-2011@0.015", "DBLP-2011", 0.015},
+		{"Coauthor@0.1", "Coauthor", 0.1},
 	} {
 		spec, err := dataset.Lookup(c.dataset)
 		if err != nil {
 			b.Fatal(err)
 		}
 		g := spec.Generate(c.scale, 1)
-		for _, k := range []int{5, 50} {
-			b.Run(fmt.Sprintf("%s/K=%d", c.name, k), func(b *testing.B) {
+		for _, ks := range []struct{ store, k int }{{5, 5}, {50, 50}, {5, 10}, {5, 20}, {5, 50}} {
+			name := fmt.Sprintf("%s/K=%d", c.name, ks.k)
+			if ks.store != ks.k {
+				name = fmt.Sprintf("%s/stored-K=%d/K=%d", c.name, ks.store, ks.k)
+			}
+			b.Run(name, func(b *testing.B) {
+				k := ks.k
 				var sets []*sampling.Set
 				calls := 0
-				opts := core.Options{K: k, Epsilon: 0.2, Seed: 1, CollectTrace: true,
+				opts := core.Options{K: ks.store, Epsilon: 0.2, Seed: 1, CollectTrace: true,
 					SamplerSet: func(g *Graph, r *xrand.Rand) *sampling.Set {
 						slot := calls
 						calls++
@@ -406,7 +415,9 @@ func BenchmarkServedSolveStoredSamples(b *testing.B) {
 					}
 					return res
 				}
-				solve() // draws and stores every sample the solve needs
+				solve() // draws and stores the samples the family serves
+				opts.K = k
+				solve() // warm: draws whatever K alone needs past them
 				var commit, greedy time.Duration
 				b.ReportAllocs()
 				b.ResetTimer()

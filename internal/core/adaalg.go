@@ -59,8 +59,10 @@ func AdaAlg(g *graph.Graph, opts Options) (*Result, error) {
 //
 // The grow → greedy → validate cadence runs on the flat coverage engine:
 // growth appends into S's and T's arenas and commits the inverted index
-// once per growth, the per-iteration Greedy on S restarts from the
-// persisted per-node sample counts in its reusable workspace, and the
+// once per growth (on stored samples it only moves the length cursor),
+// the per-iteration Greedy on S is a lazy (CELF) greedy that scans only
+// the rows of the candidates it evaluates, seeded from an order of the
+// nodes by stored row length that is sorted once per index state, and the
 // CoveredBy behind T's B̄ estimate is allocation-free — so the hot loop's
 // cost is sampling and coverage arithmetic, not allocator and GC work.
 //

@@ -5,7 +5,7 @@
 // a (1-1/e)-approximation (Nemhauser et al. 1978).
 //
 // Instance is growable — AdaAlg adds samples between iterations — and
-// Greedy can be re-run after growth. Both a lazy (CELF-style) greedy and a
+// Greedy can be re-run after growth. Both a lazy (CELF) greedy and a
 // straightforward reference greedy are provided; they produce identical
 // groups (same deterministic tie-breaking by node id).
 //
@@ -13,7 +13,7 @@
 // append-only arena (a node buffer plus an offsets array; a null sample is
 // an empty range). The node→samples inverted index is one flat id buffer
 // holding a row per node, each row with spare capacity. Commit appends the
-// ids of the paths added since the last Commit to their nodes' rows, so it
+// ids of the paths stored since the last Commit to their nodes' rows, so it
 // costs the entries it adds; only a row that is full moves, to the tail of
 // the buffer with about half again its capacity, and a buffer that must
 // grow is compacted instead once moved rows have abandoned more than a
@@ -22,12 +22,13 @@
 // GreedyBudgeted or CoveredBy on a grown instance allocates (almost)
 // nothing. An Instance is not safe for concurrent use.
 //
-// The arena may hold more paths than the instance currently exposes:
-// Reset rewinds Len to zero but keeps the stored paths and every row's
-// capacity, and Extend re-admits the stored paths in order, so a caller
-// whose paths are a pure function of their index (the sampling layer)
-// regrows a rewound instance without re-deriving the paths or moving a
-// row.
+// The arena may hold more paths than the instance currently exposes, and
+// the index covers all of them: Reset rewinds Len to zero and Extend moves
+// it forward again over the stored paths, touching neither the arena nor
+// the index, so a caller whose paths are a pure function of their index
+// (the sampling layer) regrows a rewound instance without re-deriving a
+// path or re-admitting an id. Queries read each row's prefix of ids below
+// Len — the bounded view of the paths live at that length.
 package coverage
 
 import (
@@ -47,17 +48,25 @@ type Instance struct {
 	offsets []int64 // len = Stored()+1, offsets[0] = 0, non-decreasing
 	length  int
 
-	// Inverted index over the first `indexed` paths: the ids of the paths
-	// containing node v are idx[rows[v].off:][:rows[v].len], in ascending
-	// id order, and idx[rows[v].off:][:rows[v].cap] is the room the row
-	// owns. A row that fills up moves to the tail of idx (relocate); the
-	// slots it leaves are abandoned and counted in dead until a compaction
-	// drops them. Paths added after the last Commit are present in the
-	// arena but not yet in the index.
+	// Inverted index over the first `indexed` stored paths, live or not:
+	// the ids of the paths containing node v are
+	// idx[rows[v].off:][:rows[v].len], in ascending id order, and
+	// idx[rows[v].off:][:rows[v].cap] is the room the row owns. A row that
+	// fills up moves to the tail of idx (relocate); the slots it leaves are
+	// abandoned and counted in dead until a compaction drops them. Paths
+	// stored after the last Commit are present in the arena but not yet in
+	// the index.
 	idx     []int32
 	rows    []row // len n
 	dead    int
 	indexed int
+
+	// order lists the nodes with a non-empty row, longest row first and
+	// ids ascending within a length. A stored row's length bounds its
+	// node's gain at every Len, so Greedy draws candidates in this order.
+	// Any change to the rows clears ordered; the next Greedy re-sorts.
+	order   []int32
+	ordered bool
 
 	ws workspace
 }
@@ -89,7 +98,7 @@ func (c *Instance) N() int { return c.n }
 func (c *Instance) Len() int { return c.length }
 
 // Stored returns the number of paths held in the arena: the Len live ones
-// plus any a Reset kept for Extend to re-admit.
+// plus any beyond Len that Extend can make live again.
 func (c *Instance) Stored() int { return len(c.offsets) - 1 }
 
 // Add appends one sampled path as path Len(). A nil (or empty) path
@@ -107,15 +116,27 @@ func (c *Instance) Add(path []int32) {
 }
 
 // dropStored discards the stored paths beyond Len, so appends land at
-// index Len.
+// index Len. Their ids are the largest in every row they reached, so the
+// indexed ones are trimmed from the rows' tails.
 func (c *Instance) dropStored() {
+	if c.length == c.Stored() {
+		return
+	}
+	for p := c.length; p < c.indexed; p++ {
+		for _, v := range c.path(int32(p)) {
+			c.rows[v].len--
+		}
+	}
+	c.indexed = min(c.indexed, c.length)
+	c.ordered = false
 	c.nodes = c.nodes[:c.offsets[c.length]]
 	c.offsets = c.offsets[:c.length+1]
 }
 
-// Extend re-admits stored paths until Len() == l and returns how many of
-// the re-admitted paths are null. Like Add it leaves the inverted index to
-// the next Commit. It panics unless Len() <= l <= Stored().
+// Extend makes stored paths live until Len() == l and returns how many of
+// them are null. It moves only the Len cursor: the index already holds, or
+// the next Commit adds, every stored path. It panics unless
+// Len() <= l <= Stored().
 func (c *Instance) Extend(l int) (nulls int) {
 	if l < c.length || l > c.Stored() {
 		panic("coverage: Extend beyond the stored paths")
@@ -129,20 +150,25 @@ func (c *Instance) Extend(l int) (nulls int) {
 	return nulls
 }
 
-// Commit folds every path added since the previous Commit into the
-// inverted index: each new path id is appended to the rows of its nodes,
-// so rows stay ascending and the cost is the entries added. A row with no
-// room left moves first (relocate). After a Reset the rows keep their
-// capacity, so re-admitting the same stored paths moves no row and
-// allocates nothing. Every query method calls Commit itself; the sampling
-// layer additionally calls it at growth boundaries — which its
+// Commit folds every path stored since the previous Commit — live or
+// beyond Len — into the inverted index: each new path id is appended to
+// the rows of its nodes, so rows stay ascending and the cost is the
+// entries added. A row with no room left moves first (relocate). Reset
+// and Extend only move Len, so re-admitting stored paths adds nothing
+// here. Every query method calls Commit itself; the
+// sampling layer additionally calls it at growth boundaries — which its
 // all-or-nothing chunk contract guarantees are chunk boundaries — so
-// queries never pay for index construction.
+// queries never pay for index construction. It panics rather than store
+// more than 2^31 paths, the range of an id.
 func (c *Instance) Commit() {
-	if c.length > math.MaxInt32 {
+	stored := c.Stored()
+	if stored > math.MaxInt32 {
 		panic("coverage: more than 2^31 paths")
 	}
-	for p := c.indexed; p < c.length; p++ {
+	if c.indexed == stored {
+		return
+	}
+	for p := c.indexed; p < stored; p++ {
 		for _, v := range c.nodes[c.offsets[p]:c.offsets[p+1]] {
 			r := &c.rows[v]
 			if r.len == r.cap {
@@ -152,7 +178,8 @@ func (c *Instance) Commit() {
 			r.len++
 		}
 	}
-	c.indexed = c.length
+	c.indexed = stored
+	c.ordered = false
 }
 
 // relocate moves the full row r to the tail of idx with about half again
@@ -178,34 +205,22 @@ func (c *Instance) relocate(r *row) {
 // slots, with room for extra more entries plus half the live size again.
 func (c *Instance) compact(extra int) {
 	live := len(c.idx) - c.dead
-	c.layout(make([]int32, live+extra+live/2), false)
+	c.layout(make([]int32, live+extra+live/2))
 }
 
-// Reset rewinds the instance: Len and the inverted index return to zero,
-// but the stored paths stay in the arena for Extend to re-admit, and every
-// allocation survives — arena, index buffer, each row's capacity and the
-// query workspace. The emptied rows are laid out afresh, which frees the
-// abandoned slots without copying anything. Re-admitting stored paths and
-// committing them refills the rows in place, moving none that the same
-// paths filled before, and answers every query as a fresh instance fed
-// the same paths would.
-func (c *Instance) Reset() {
-	c.length, c.indexed = 0, 0
-	c.layout(c.idx[:cap(c.idx)], true)
-}
+// Reset rewinds Len to zero. The stored paths and the index over them stay
+// as they are, for Extend to make live again; every query answers as a
+// fresh instance fed the live paths would, and nothing is moved, copied or
+// allocated.
+func (c *Instance) Reset() { c.length = 0 }
 
-// layout lays every row out in buf in node order, each keeping its
-// capacity and, unless empty is set, its ids; buf must hold the rows'
-// total capacity.
-func (c *Instance) layout(buf []int32, empty bool) {
+// layout lays every row out in buf in node order, each keeping its ids and
+// capacity; buf must hold the rows' total capacity.
+func (c *Instance) layout(buf []int32) {
 	off := 0
 	for v := range c.rows {
 		r := &c.rows[v]
-		if empty {
-			r.len = 0
-		} else {
-			copy(buf[off:], c.idx[r.off:r.off+r.len])
-		}
+		copy(buf[off:], c.idx[r.off:r.off+r.len])
 		r.off = int32(off)
 		off += int(r.cap)
 	}
@@ -213,20 +228,28 @@ func (c *Instance) layout(buf []int32, empty bool) {
 }
 
 // MemoryFootprint returns the bytes the instance retains: arena, index
-// buffer (abandoned slots and spare capacity included), row table and
-// query workspace, each at its capacity — the number the allocator
-// actually holds. The observability layer publishes it as the
-// coverage-arena gauge; it costs a handful of loads, so calling it at
+// buffer (abandoned slots and spare capacity included), row table, greedy
+// candidate order and query workspace, each at its capacity — the number
+// the allocator actually holds. The observability layer publishes it as
+// the coverage-arena gauge; it costs a handful of loads, so calling it at
 // growth boundaries is free.
 func (c *Instance) MemoryFootprint() int64 {
 	return int64(cap(c.nodes))*4 + int64(cap(c.offsets))*8 +
-		int64(cap(c.idx))*4 + int64(cap(c.rows))*12 + c.ws.footprint()
+		int64(cap(c.idx))*4 + int64(cap(c.rows))*12 + int64(cap(c.order))*4 +
+		c.ws.footprint()
 }
 
-// row returns the ids of the paths containing v (valid until next Commit).
+// row returns the ids of the live paths containing v, ascending: the
+// prefix of v's index row below Len (valid until the next Commit). Only a
+// row whose last id reaches past Len is binary-searched.
 func (c *Instance) row(v int32) []int32 {
 	r := c.rows[v]
-	return c.idx[r.off : r.off+r.len]
+	ids := c.idx[r.off : r.off+r.len]
+	if r.len > 0 && int(ids[r.len-1]) >= c.length {
+		live, _ := slices.BinarySearch(ids, int32(c.length))
+		ids = ids[:live]
+	}
+	return ids
 }
 
 // path returns the nodes of path id (empty for a null sample).
@@ -235,102 +258,85 @@ func (c *Instance) path(id int32) []int32 {
 }
 
 // CoveredBy returns how many paths contain at least one node of group.
-// It allocates nothing: covered marks are epoch stamps in the shared
-// workspace.
+// It allocates nothing once the workspace's covered bitset holds Len bits.
 func (c *Instance) CoveredBy(group []int32) int {
 	c.Commit()
 	ws := &c.ws
-	ws.reset(c.n, c.Len())
+	ws.cover(c.Len())
 	count := 0
 	for _, v := range group {
-		for _, id := range c.row(v) {
-			if !ws.isCovered(id) {
-				ws.setCovered(id)
-				count++
-			}
-		}
+		count += ws.mark(c.row(v))
 	}
 	return count
 }
 
-// Greedy picks k nodes by lazy (CELF-style) greedy maximum coverage and
-// returns the group together with the number of covered paths. Ties break
-// toward the smaller node id; once every path is covered (or no node has
-// positive gain) the group is padded with the smallest unchosen ids, so the
-// result always has exactly k nodes. It panics if k is out of range.
+// Greedy picks k nodes by lazy (CELF) greedy maximum coverage and returns
+// the group together with the number of covered paths. Ties break toward
+// the smaller node id; once every path is covered (or no node has positive
+// gain) the group is padded with the smallest unchosen ids, so the result
+// always has exactly k nodes. It panics if k is out of range.
 //
-// Re-runs allocate only the returned group: gains restart from the
-// persisted row lengths (each node's sample count, maintained by Commit),
-// the heap starts as the nodes with positive gain counting-sorted into
-// heap order, and the heap, gain counts, gain array and covered/chosen
-// marks live in the instance's epoch-stamped workspace. The lazy greedy
-// picks the node of largest current gain whatever its heap holds, so the
-// group does not depend on how the heap was built.
+// This is Minoux's accelerated greedy as CELF uses it (Leskovec et al.,
+// KDD 2007), over the bounded view at Len. Candidates enter from c.order,
+// which ranks nodes by stored row length — an upper bound on their gain at
+// every Len — and is re-sorted only after the index changed. A candidate's
+// exact gain is its live row scanned against the covered bitset, and its
+// heap entry keeps the row's live length and how many picks had been made
+// when the gain was counted: gains only fall as paths get covered, so a
+// stale entry is an upper bound and is rescanned only when it reaches the
+// top. A fresh top that comes before the next candidate's bound is the
+// node of largest gain, so the group does not depend on the order of
+// evaluation. Nothing is O(n) per call and only evaluated nodes enter the
+// heap; re-runs allocate only the returned group.
 func (c *Instance) Greedy(k int) (group []int32, covered int) {
 	if k < 0 || k > c.n {
 		panic("coverage: k out of range")
 	}
 	c.Commit()
+	if !c.ordered {
+		c.sortRows()
+	}
 	ws := &c.ws
 	ws.reset(c.n, c.Len())
 	epoch := ws.epoch
-	gain := ws.gain
-	// Counting sort by gain, descending, ids ascending within a gain: an
-	// array sorted in heap order is already a heap.
-	most := int32(0)
-	for v, r := range c.rows {
-		gain[v] = r.len
-		most = max(most, r.len)
-	}
-	at := slices.Grow(ws.counts[:0], int(most)+1)[:most+1]
-	clear(at)
-	ws.counts = at
-	for _, g := range gain {
-		at[g]++
-	}
-	size := int32(0)
-	for g := most; g > 0; g-- {
-		size, at[g] = size+at[g], size
-	}
-	h := slices.Grow(ws.heap[:0], int(size))[:size]
-	for v, g := range gain {
-		if g > 0 {
-			h[at[g]] = nodeGain{int32(v), g}
-			at[g]++
-		}
-	}
-
+	h := ws.heap[:0]
+	next := 0 // c.order[:next] have been evaluated
 	group = make([]int32, 0, k)
-	for len(group) < k && len(h) > 0 {
-		top := h[0]
-		if top.gain != gain[top.node] {
-			// Stale priority: gains only decrease, so refresh and re-sift.
-			h[0].gain = gain[top.node]
-			h.down(0)
-			continue
-		}
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		if last > 0 {
-			h.down(0)
-		}
-		v := top.node
-		if top.gain == 0 {
-			break
-		}
-		group = append(group, v)
-		ws.chosenEpoch[v] = epoch
-		for _, id := range c.row(v) {
-			if ws.isCovered(id) {
+	for len(group) < k {
+		picks := int32(len(group))
+		if next < len(c.order) {
+			v := c.order[next]
+			if len(h) == 0 || !h[0].before(nodeGain{node: v, gain: c.rows[v].len}) {
+				next++
+				ids := c.row(v)
+				g := int32(len(ids)) // nothing is covered before the first pick
+				if picks > 0 {
+					g = ws.uncovered(ids)
+				}
+				if g > 0 {
+					h = h.push(nodeGain{v, g, picks, int32(len(ids))})
+				}
 				continue
 			}
-			ws.setCovered(id)
-			covered++
-			for _, w := range c.path(id) {
-				gain[w]--
-			}
 		}
+		if len(h) == 0 {
+			break
+		}
+		top := &h[0]
+		ids := c.idx[c.rows[top.node].off:][:top.live]
+		if top.picks != picks {
+			top.gain, top.picks = ws.uncovered(ids), picks
+			if top.gain > 0 {
+				h.down(0)
+			} else {
+				h = h.pop()
+			}
+			continue
+		}
+		group = append(group, top.node)
+		ws.chosenEpoch[top.node] = epoch
+		covered += ws.mark(ids)
+		h = h.pop()
 	}
 	// Pad with arbitrary (smallest-id) unchosen nodes: zero marginal gain.
 	for v := int32(0); len(group) < k; v++ {
@@ -341,6 +347,32 @@ func (c *Instance) Greedy(k int) (group []int32, covered int) {
 	}
 	ws.heap = h
 	return group, covered
+}
+
+// sortRows counting-sorts the nodes with a non-empty row into c.order by
+// row length, longest first, ids ascending within a length.
+func (c *Instance) sortRows() {
+	most := int32(0)
+	for _, r := range c.rows {
+		most = max(most, r.len)
+	}
+	at := slices.Grow(c.ws.counts[:0], int(most)+1)[:most+1]
+	clear(at)
+	for _, r := range c.rows {
+		at[r.len]++
+	}
+	size := int32(0)
+	for l := most; l > 0; l-- {
+		size, at[l] = size+at[l], size
+	}
+	order := slices.Grow(c.order[:0], int(size))[:size]
+	for v, r := range c.rows {
+		if r.len > 0 {
+			order[at[r.len]] = int32(v)
+			at[r.len]++
+		}
+	}
+	c.ws.counts, c.order, c.ordered = at, order, true
 }
 
 // GreedyReference is a quadratic greedy used as a test oracle for Greedy:

@@ -48,8 +48,9 @@ func (s *opStream) path(n int) []int32 {
 
 // FuzzInstanceOps drives an Instance of at most 40 nodes through byte-chosen
 // interleavings of Add, AddArenas, Extend, Reset, Splice and Commit. After
-// every step it checks the stored paths, every row of the index and the
-// row layout against a model kept as plain path lists, then (unless the
+// every step it checks the stored paths, every row of the index, its
+// bounded view at Len, the row layout and the greedy candidate order
+// against a model kept as plain path lists, then (unless the
 // step defers it) compares Greedy, GreedyReference, GreedyBudgeted and
 // CoveredBy with an instance built in one shot from the live paths.
 func FuzzInstanceOps(f *testing.F) {
@@ -66,6 +67,15 @@ func FuzzInstanceOps(f *testing.F) {
 	// step into a Reset and a re-admission.
 	f.Add([]byte{6, opGrow, 1, 60, opGrow, 2, 60, opGrow, 3, 60, opGrow, 4, 60,
 		opGrow, 5, 60, opGrow, 6, 60, opGrow | opDefer, 7, 60, opReset, opExtend, 255})
+	// Reset, a partial Extend and Greedy on the bounded view at Len <
+	// Stored, then growth past Len: its first Add trims the indexed stored
+	// tail from the rows.
+	f.Add([]byte{16, opGrow, 11, 48, opReset, opExtend, 20, opQuery, opGrow, 12, 9, opQuery})
+	// An uncommitted tail carried into a Reset: the query after a partial
+	// Extend indexes every stored path, live or not, and an AddArenas past
+	// Len then trims the ones beyond Len.
+	f.Add([]byte{16, opGrow, 11, 30, opGrow | opDefer, 12, 20, opReset, opExtend, 35,
+		opAddArenas, 0, 2, 3, 1, 2, 3, 0, opQuery})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			return
@@ -172,9 +182,11 @@ func FuzzInstanceOps(f *testing.F) {
 }
 
 // checkAgainstModel compares c's stored paths, lengths, index rows and row
-// layout with the model, without committing: rows must hold exactly the
-// indexed prefix of the live paths, ascending, inside disjoint regions of
-// idx whose abandoned remainder is what dead counts.
+// layout with the model, without committing: the raw rows must hold
+// exactly the indexed prefix of the stored paths, live or not, ascending,
+// inside disjoint regions of idx whose abandoned remainder is what dead
+// counts; row() must return the part of them below Len; and a sorted
+// greedy candidate order must rank the current rows.
 func checkAgainstModel(t *testing.T, step int, c *Instance, stored [][]int32, length int) {
 	t.Helper()
 	if c.Len() != length || c.Stored() != len(stored) {
@@ -185,8 +197,8 @@ func checkAgainstModel(t *testing.T, step int, c *Instance, stored [][]int32, le
 			t.Fatalf("step %d: stored path %d is %v, want %v", step, p, got, want)
 		}
 	}
-	if c.indexed > length {
-		t.Fatalf("step %d: %d paths indexed, only %d live", step, c.indexed, length)
+	if c.indexed > len(stored) {
+		t.Fatalf("step %d: %d paths indexed, only %d stored", step, c.indexed, len(stored))
 	}
 	want := make([][]int32, c.n)
 	for p, path := range stored[:c.indexed] {
@@ -195,15 +207,33 @@ func checkAgainstModel(t *testing.T, step int, c *Instance, stored [][]int32, le
 		}
 	}
 	used := 0
-	for v := range c.rows {
-		rw := c.rows[v]
-		if got := c.row(int32(v)); !slices.Equal(got, want[v]) {
-			t.Fatalf("step %d: row %d is %v, want %v", step, v, got, want[v])
-		}
+	for v, rw := range c.rows {
 		if rw.len > rw.cap || rw.off < 0 || int(rw.off)+int(rw.cap) > len(c.idx) {
 			t.Fatalf("step %d: row %d %+v outside idx of length %d", step, v, rw, len(c.idx))
 		}
 		used += int(rw.cap)
+		if got := c.idx[rw.off : rw.off+rw.len]; !slices.Equal(got, want[v]) {
+			t.Fatalf("step %d: raw row %d is %v, want %v", step, v, got, want[v])
+		}
+		live := want[v]
+		for len(live) > 0 && int(live[len(live)-1]) >= length {
+			live = live[:len(live)-1]
+		}
+		if got := c.row(int32(v)); !slices.Equal(got, live) {
+			t.Fatalf("step %d: live row %d is %v, want %v", step, v, got, live)
+		}
+	}
+	if c.ordered {
+		var order []int32
+		for v, ids := range want {
+			if len(ids) > 0 {
+				order = append(order, int32(v))
+			}
+		}
+		slices.SortStableFunc(order, func(a, b int32) int { return len(want[b]) - len(want[a]) })
+		if !slices.Equal(c.order, order) {
+			t.Fatalf("step %d: candidate order %v, want %v", step, c.order, order)
+		}
 	}
 	if used+c.dead != len(c.idx) {
 		t.Fatalf("step %d: rows own %d slots and %d are abandoned, idx has %d", step, used, c.dead, len(c.idx))

@@ -12,8 +12,8 @@ func (c *Instance) PathView(p int) []int32 {
 
 // Splice replaces the stored paths at the given ascending ids with the
 // paths of patch (patch path k replaces ids[k]; len(ids) must equal
-// patch.Len()) and rebuilds the inverted index. Ids may reach past Len
-// into the paths a Reset kept. It returns how many of the replaced live
+// patch.Len()) and rebuilds the inverted index over every stored path.
+// Ids may reach past Len into the paths a Reset kept. It returns how many of the replaced live
 // paths (id < Len) were null before and after the splice, so the caller
 // can maintain its unreachable count. Len and Stored are unchanged —
 // repair rewrites sample content in place, it never adds or removes
@@ -61,8 +61,7 @@ func (c *Instance) Splice(ids []int, patch *PathArena) (oldNulls, newNulls int) 
 }
 
 // rebuild lays the inverted index out afresh, each row with room for
-// exactly the stored paths through its node, and fills in the live ones:
-// re-admitting the stored paths after a Reset then moves no row.
+// exactly the stored paths through its node, and fills all of them in.
 func (c *Instance) rebuild() {
 	for v := range c.rows {
 		c.rows[v] = row{}
@@ -78,6 +77,6 @@ func (c *Instance) rebuild() {
 		buf = make([]int32, len(c.nodes))
 	}
 	c.indexed = 0
-	c.layout(buf, true)
+	c.layout(buf)
 	c.Commit()
 }

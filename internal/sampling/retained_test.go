@@ -63,9 +63,10 @@ func TestMemoryFootprintMatchesHeap(t *testing.T) {
 }
 
 // TestReadmissionAllocatesOnlyTheGroup pins the served re-admission path:
-// a family set grown along AdaAlg's schedule, then Reset, regrown to its
-// stored length and queried, allocates nothing but Greedy's group — the
-// rows keep their capacity across Reset, so the index refills in place.
+// a family set grown along AdaAlg's schedule, then Reset, regrown to half
+// or all of its stored length and queried, allocates nothing but Greedy's
+// group — the index covers every stored sample, so re-admission moves only
+// the length cursor and the queries read the rows' live prefixes.
 func TestReadmissionAllocatesOnlyTheGroup(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 3, xrand.New(94))
 	s := NewBidirectionalSet(g, xrand.New(95))
@@ -75,17 +76,19 @@ func TestReadmissionAllocatesOnlyTheGroup(t *testing.T) {
 		s.Greedy(10)
 	}
 	stored := s.Coverage().Stored()
-	readmit := func() {
-		s.Reset()
-		s.GrowTo(stored)
-		group, _ := s.Greedy(10)
-		s.CoveredBy(group)
-	}
-	readmit() // warm: the workspace is sized for every stored sample
-	if allocs := testing.AllocsPerRun(20, readmit); allocs > 1 {
-		t.Fatalf("Reset, GrowTo(Stored), Greedy, CoveredBy: %g allocs, want <= 1 (the group)", allocs)
-	}
-	if s.Len() != stored {
-		t.Fatalf("regrew to %d, want the %d stored samples", s.Len(), stored)
+	for _, l := range []int{stored / 2, stored} {
+		readmit := func() {
+			s.Reset()
+			s.GrowTo(l)
+			group, _ := s.Greedy(10)
+			s.CoveredBy(group)
+		}
+		readmit() // warm: the workspace is sized for the live samples
+		if allocs := testing.AllocsPerRun(20, readmit); allocs > 1 {
+			t.Fatalf("Reset, GrowTo(%d), Greedy, CoveredBy: %g allocs, want <= 1 (the group)", l, allocs)
+		}
+		if s.Len() != l || s.Coverage().Stored() != stored {
+			t.Fatalf("regrew to %d of %d stored samples, want %d of %d", s.Len(), s.Coverage().Stored(), l, stored)
+		}
 	}
 }

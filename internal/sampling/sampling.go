@@ -492,12 +492,13 @@ func (s *Set) sizeShares(count, lanes int) []int {
 
 // Reset rewinds the set — Len and Unreachable return to zero — while
 // keeping the graph, per-index seeds, lanes, all arena capacity and the
-// stored samples themselves: the next GrowTo* re-admits stored samples
-// through the coverage engine's incremental Commit and draws only past
-// them. Every sample index draws from its own RNG stream derived only from
-// the set's seeds, so a reset set regrown to L is bit-identical to a fresh
-// set grown to L: the serving layer uses this to share one Set's samples
-// across every request on the same (graph, seed, sampler).
+// stored samples themselves, with the coverage index over them: the next
+// GrowTo* re-admits stored samples by moving the coverage engine's length
+// cursor, without touching the index, and draws only past them. Every
+// sample index draws from its own RNG stream derived only from the set's
+// seeds, so a reset set regrown to L is bit-identical to a fresh set grown
+// to L: the serving layer uses this to share one Set's samples across
+// every request on the same (graph, seed, sampler).
 func (s *Set) Reset() {
 	s.cov.Reset()
 	s.Unreachable = 0

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gbc/internal/graph"
 	"gbc/internal/sampling"
@@ -267,10 +268,11 @@ func TestMetricsDuringRun(t *testing.T) {
 	if s.ArenaBytes <= 0 {
 		t.Fatalf("arena gauge %d, want > 0 after a run", s.ArenaBytes)
 	}
-	// Growth joins every lane goroutine before returning. A joined
-	// goroutine may still be on its way out, so yield before counting.
-	for i := 0; i < 100 && runtime.NumGoroutine() > baseline; i++ {
-		runtime.Gosched()
+	// Growth joins every lane goroutine before returning, but a joined
+	// goroutine may still be on its way out — on a loaded machine for a
+	// while — so wait, up to a deadline, for the count to come back down.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > baseline {
 		t.Fatalf("%d goroutines after a Workers=4 run, %d before", n, baseline)

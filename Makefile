@@ -77,15 +77,17 @@ patch-smoke:
 # Short smoke run of the native Go fuzzers: the untrusted-input ones (the
 # two edge-list parsers, the binary .gbcsr decoder, the shard payload
 # decoder, the shard worker's epoch request body and the HTTP bodies of
-# POST /v1/topk, PATCH /v1/graphs/{name} and graph upload), the
-# bidirectional sampler checked against the forward reference and the
-# Dijkstra sampler checked against DijkstraSSSP, both on small graphs, and
-# the coverage engine's Add/Extend/Reset/Splice/Commit interleavings
-# checked against a model rebuilt from the stored paths.
+# POST /v1/topk, PATCH /v1/graphs/{name} and graph upload), chains of edge
+# deltas checked against a Builder rebuild, the bidirectional sampler
+# checked against the forward reference and the Dijkstra sampler checked
+# against DijkstraSSSP, both on small graphs, and the coverage engine's
+# Add/Extend/Reset/Splice/Commit interleavings checked against a model
+# rebuilt from the stored paths.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadEdgeList$$ -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzReadWeightedEdgeList -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzDecodeCSR -fuzztime 10s ./internal/graph
+	$(GO) test -run xxx -fuzz FuzzApplyDelta -fuzztime 10s ./internal/graph
 	$(GO) test -run xxx -fuzz FuzzDecodeArenaPayload -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzWorkerEpoch -fuzztime 10s ./internal/shard
 	$(GO) test -run xxx -fuzz FuzzTopKDecode -fuzztime 10s ./internal/server
@@ -111,12 +113,13 @@ bench-scaling:
 
 # One-op race-checked pass over the warm growth benchmarks at workers
 # {1,2,4,8} — the CI guard that keeps the lane fork-join data-race-free
-# without paying for a full benchmark run — and over the stored-sample
-# solve benchmark, which keeps its commit/greedy split compiling and
-# running.
+# without paying for a full benchmark run — over the stored-sample solve
+# benchmark, which keeps its commit/greedy split compiling and running,
+# and over the PATCH-shaped ApplyDelta benchmark.
 bench-smoke:
 	$(GO) test -race -run xxx -bench 'BenchmarkSamplingGrowWarm' -benchtime=1x .
 	$(GO) test -race -run xxx -bench 'BenchmarkServedSolveStoredSamples' -benchtime=1x .
+	$(GO) test -race -run xxx -bench 'BenchmarkApplyDelta' -benchtime=1x .
 
 # Vet and smoke-test cmd/gbcbench, the end-to-end benchmark. It is a module
 # of its own, so the root build, vet and tests do not compile it; this

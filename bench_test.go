@@ -21,6 +21,7 @@ import (
 	"gbc/internal/dataset"
 	"gbc/internal/exact"
 	"gbc/internal/experiments"
+	"gbc/internal/graph"
 	"gbc/internal/sampling"
 	"gbc/internal/xrand"
 )
@@ -465,21 +466,24 @@ func BenchmarkSamplingGrow(b *testing.B) {
 	}
 }
 
-// BenchmarkSamplingGrowWarm measures steady-state growth on a long-lived
-// set: the per-lane samplers and arenas are warm, so each op is pure
-// drawing plus the bulk arena append — the zero-allocation regime the
-// pipeline targets.
+// BenchmarkSamplingGrowWarm measures growth on warm lanes: each op draws
+// samples 10,000 to 20,000 onto a set that already holds the first 10,000,
+// so the per-lane samplers and arenas are sized before the timer starts;
+// B/op is the coverage engine's arrays growing to 20,000 paths. The set is
+// built and grown to 10,000 outside the timer, from the same seed every
+// op, so the work per op does not depend on b.N.
 func BenchmarkSamplingGrowWarm(b *testing.B) {
 	g := BarabasiAlbert(5000, 3, 27)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			set := sampling.NewBidirectionalSet(g, xrand.New(1))
-			set.Workers = workers
-			set.GrowTo(10000)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				set.GrowTo(set.Len() + 10000)
+				b.StopTimer()
+				set := sampling.NewBidirectionalSet(g, xrand.New(1))
+				set.Workers = workers
+				set.GrowTo(10000)
+				b.StartTimer()
+				set.GrowTo(20000)
 			}
 		})
 	}
@@ -607,6 +611,68 @@ func BenchmarkAdaAlgGrQcScale(b *testing.B) {
 		samples = res.Samples
 	}
 	b.ReportMetric(float64(samples), "samples")
+}
+
+// BenchmarkApplyDelta times building a new graph version the way a PATCH
+// does: graph.ApplyDelta with one insertion of an absent edge and one
+// deletion of a present edge, the shape of every PATCH gbcbench's
+// serve-patch workload sends. Each op applies the next of 64 deltas drawn
+// against the same base graph, so every op builds a version of the same
+// size whatever b.N is.
+func BenchmarkApplyDelta(b *testing.B) {
+	for _, c := range []struct {
+		name, dataset string
+		scale         float64
+	}{
+		{"Coauthor@0.1", "Coauthor", 0.1},
+		{"LiveJournal@0.01", "LiveJournal", 0.01},
+	} {
+		spec, err := dataset.Lookup(c.dataset)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := spec.Generate(c.scale, 1)
+		deltas := patchDeltas(g, 64, 2)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ng, err := graph.ApplyDelta(g, deltas[i%len(deltas)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				versionSink = ng
+			}
+		})
+	}
+}
+
+// versionSink keeps BenchmarkApplyDelta's results live.
+var versionSink *Graph
+
+// patchDeltas draws count deltas against g, each one deletion of a present
+// edge and one insertion of an absent one.
+func patchDeltas(g *Graph, count int, seed uint64) []*graph.Delta {
+	r := xrand.New(seed)
+	deltas := make([]*graph.Delta, count)
+	for i := range deltas {
+		var del graph.DeltaEdge
+		for {
+			u := int32(r.Intn(g.N()))
+			if nb := g.OutNeighbors(u); len(nb) > 0 {
+				del = graph.DeltaEdge{U: u, V: nb[r.Intn(len(nb))]}
+				break
+			}
+		}
+		u, v := r.IntnPair(g.N())
+		for g.HasEdge(int32(u), int32(v)) {
+			u, v = r.IntnPair(g.N())
+		}
+		deltas[i] = &graph.Delta{
+			Insert: []graph.DeltaEdge{{U: int32(u), V: int32(v)}},
+			Delete: []graph.DeltaEdge{del},
+		}
+	}
+	return deltas
 }
 
 func BenchmarkGraphGeneration(b *testing.B) {

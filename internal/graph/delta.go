@@ -15,6 +15,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -130,16 +131,23 @@ func (d *Delta) Validate(g *Graph) error {
 // ApplyDelta returns a new immutable graph equal to g with the delta's
 // deletions removed and insertions added, or a *DeltaError if the delta
 // does not validate against g. The result is always heap-built (never
-// file-mapped) and shares only the immutable label array with g; g itself
-// is untouched and stays fully usable. The construction is a per-row
-// sorted merge — O(n + m + |delta| log |delta|) — and produces exactly the
-// CSR a Builder fed the resulting edge set would produce, so downstream
+// file-mapped) and owns its arrays, so it outlives g's Close: it shares
+// only the immutable label array of a heap-built g. g itself is untouched
+// and stays fully usable. Per side, the construction copies the offsets
+// once, block-copies each span of rows the delta does not touch and
+// merges entry by entry only the rows it does — O(n + m + |delta| log
+// |delta|), the O(n + m) part memory moves — and produces exactly the CSR
+// a Builder fed the resulting edge set would produce, so downstream
 // consumers (samplers, repair) see a canonical graph.
 func ApplyDelta(g *Graph, d *Delta) (*Graph, error) {
 	if err := d.Validate(g); err != nil {
 		return nil, err
 	}
-	ng := &Graph{directed: g.directed, n: g.n, labels: g.labels}
+	labels := g.labels
+	if g.mapped {
+		labels = slices.Clone(labels)
+	}
+	ng := &Graph{directed: g.directed, n: g.n, labels: labels}
 	ins, del := expandOps(g.directed, d)
 	ng.outOff, ng.outAdj, ng.outWts = mergeCSR(g, false, ins, del)
 	if g.directed {
@@ -190,9 +198,15 @@ func sortOps(ops []DeltaEdge) {
 	})
 }
 
-// mergeCSR builds one side's CSR by merging each old adjacency row with
-// the (sorted) inserts and deletes that land in it. in selects the
-// in-adjacency of g as the source side.
+// mergeCSR builds one side's CSR from g's and the (sorted) inserts and
+// deletes that land on it; in selects g's in-adjacency as the source. A
+// row the delta does not name keeps its entries and moves by the running
+// insert − delete count, so each span of such rows between two touched
+// rows is one block copy (adjacency, and weights when present), and its
+// offsets, copied up front, change only where that count is non-zero;
+// only the touched rows are merged entry by entry. Every array is freshly
+// allocated, never a sub-slice of g's: g may be a file mapping that is
+// unmapped once g retires.
 func mergeCSR(g *Graph, in bool, ins, del []DeltaEdge) ([]int, []int32, []float64) {
 	oldOff, oldAdj, oldWts := g.outOff, g.outAdj, g.outWts
 	if in {
@@ -200,44 +214,64 @@ func mergeCSR(g *Graph, in bool, ins, del []DeltaEdge) ([]int, []int32, []float6
 	}
 	n := g.n
 	size := len(oldAdj) + len(ins) - len(del)
-	off := make([]int, n+1)
-	adj := make([]int32, 0, size)
+	off := slices.Clone(oldOff)
+	adj := make([]int32, size)
 	var wts []float64
 	if oldWts != nil {
-		wts = make([]float64, 0, size)
+		wts = make([]float64, size)
 	}
-	ii, di := 0, 0
-	for u := 0; u < n; u++ {
-		off[u] = len(adj)
-		row := oldAdj[oldOff[u]:oldOff[u+1]]
-		var roww []float64
-		if oldWts != nil {
-			roww = oldWts[oldOff[u]:oldOff[u+1]]
+	ii, di, shift := 0, 0, 0
+	for from := 0; ; {
+		u := n // the next touched row, n once none is left
+		if ii < len(ins) {
+			u = int(ins[ii].U)
 		}
-		r := 0
-		for r < len(row) || (ii < len(ins) && int(ins[ii].U) == u) {
+		if di < len(del) && int(del[di].U) < u {
+			u = int(del[di].U)
+		}
+		// Untouched rows [from, u): one block copy to their new place, and
+		// their offsets, with row u's start (the end offset when u == n),
+		// shift by the running count.
+		lo, hi := oldOff[from], oldOff[u]
+		copy(adj[lo+shift:], oldAdj[lo:hi])
+		if wts != nil {
+			copy(wts[lo+shift:], oldWts[lo:hi])
+		}
+		if shift != 0 {
+			span := off[from : u+1]
+			for v := range span {
+				span[v] += shift
+			}
+		}
+		if u == n {
+			break
+		}
+		// Row u: merge the old entries with its inserts and deletes.
+		w, end := hi+shift, oldOff[u+1]
+		for r := hi; r < end || (ii < len(ins) && int(ins[ii].U) == u); {
 			// Emit pending inserts that sort before the next old neighbor.
-			if ii < len(ins) && int(ins[ii].U) == u &&
-				(r == len(row) || ins[ii].V < row[r]) {
-				adj = append(adj, ins[ii].V)
+			if ii < len(ins) && int(ins[ii].U) == u && (r == end || ins[ii].V < oldAdj[r]) {
+				adj[w] = ins[ii].V
 				if wts != nil {
-					wts = append(wts, ins[ii].W)
+					wts[w] = ins[ii].W
 				}
 				ii++
+				w++
 				continue
 			}
 			// Old neighbor: keep unless deleted.
-			if di < len(del) && int(del[di].U) == u && del[di].V == row[r] {
+			if di < len(del) && int(del[di].U) == u && del[di].V == oldAdj[r] {
 				di++
 			} else {
-				adj = append(adj, row[r])
+				adj[w] = oldAdj[r]
 				if wts != nil {
-					wts = append(wts, roww[r])
+					wts[w] = oldWts[r]
 				}
+				w++
 			}
 			r++
 		}
+		shift, from = w-end, u+1
 	}
-	off[n] = len(adj)
-	return off, adj[:len(adj):len(adj)], wts
+	return off, adj, wts
 }

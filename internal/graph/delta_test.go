@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"path/filepath"
 	"testing"
 
 	"gbc/internal/xrand"
@@ -69,6 +70,12 @@ func sameCSR(t *testing.T, got, want *Graph) {
 					t.Fatalf("node %d: out-weight %d: %g != %g", v, i, gw[i], ww[i])
 				}
 			}
+			gw, ww = got.InWeights(v), want.InWeights(v)
+			for i := range gw {
+				if gw[i] != ww[i] {
+					t.Fatalf("node %d: in-weight %d: %g != %g", v, i, gw[i], ww[i])
+				}
+			}
 		}
 	}
 }
@@ -116,63 +123,124 @@ func randomDelta(g *Graph, k int, r *xrand.Rand) *Delta {
 	return d
 }
 
+// deltaShapes are the graph modes every ApplyDelta test covers.
+var deltaShapes = []struct {
+	name     string
+	directed bool
+	weighted bool
+}{
+	{"undirected", false, false},
+	{"directed", true, false},
+	{"weighted", false, true},
+	{"directed-weighted", true, true},
+}
+
+// randomGraph builds a graph of n nodes from about 3n random edges, with
+// weights from [1, 5) when weighted and labels when labels is non-nil.
+func randomGraph(t *testing.T, n int, directed, weighted bool, labels []int64, r *xrand.Rand) *Graph {
+	t.Helper()
+	b := NewBuilder(n, directed)
+	b.SetLabels(labels)
+	for i := 0; i < 3*n; i++ {
+		u, v := int32(r.Intn(n)), int32(r.Intn(n))
+		if u == v {
+			continue
+		}
+		if weighted {
+			b.AddWeightedEdge(u, v, 1+r.Float64()*4)
+		} else {
+			b.AddEdge(u, v)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// applyToSet returns g's edge set (see edgeSet) with d applied: the edge
+// set of the version ApplyDelta(g, d) must build.
+func applyToSet(g *Graph, d *Delta) map[[2]int32]float64 {
+	set := edgeSet(g)
+	key := func(e DeltaEdge) [2]int32 {
+		if !g.Directed() && e.V < e.U {
+			return [2]int32{e.V, e.U}
+		}
+		return [2]int32{e.U, e.V}
+	}
+	for _, e := range d.Delete {
+		delete(set, key(e))
+	}
+	for _, e := range d.Insert {
+		w := e.W
+		if !g.Weighted() {
+			w = 1
+		}
+		set[key(e)] = w
+	}
+	return set
+}
+
 func TestApplyDeltaDifferential(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		directed bool
-		weighted bool
-	}{
-		{"undirected", false, false},
-		{"directed", true, false},
-		{"weighted", false, true},
-	} {
+	for _, tc := range deltaShapes {
 		t.Run(tc.name, func(t *testing.T) {
 			r := xrand.New(42)
 			const n = 60
-			b := NewBuilder(n, tc.directed)
-			for i := 0; i < 3*n; i++ {
-				u, v := int32(r.Intn(n)), int32(r.Intn(n))
-				if u == v {
-					continue
-				}
-				if tc.weighted {
-					b.AddWeightedEdge(u, v, 1+r.Float64()*4)
-				} else {
-					b.AddEdge(u, v)
-				}
-			}
-			g, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := randomGraph(t, n, tc.directed, tc.weighted, nil, r)
 			for trial := 0; trial < 20; trial++ {
 				d := randomDelta(g, 4, r)
 				ng, err := ApplyDelta(g, d)
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
-				set := edgeSet(g)
-				for _, e := range d.Delete {
-					u, v := e.U, e.V
-					if !g.Directed() && v < u {
-						u, v = v, u
-					}
-					delete(set, [2]int32{u, v})
-				}
-				for _, e := range d.Insert {
-					u, v := e.U, e.V
-					if !g.Directed() && v < u {
-						u, v = v, u
-					}
-					w := e.W
-					if !g.Weighted() {
-						w = 1
-					}
-					set[[2]int32{u, v}] = w
-				}
-				want := rebuild(t, n, tc.directed, tc.weighted, set)
-				sameCSR(t, ng, want)
+				sameCSR(t, ng, rebuild(t, n, tc.directed, tc.weighted, applyToSet(g, d)))
 				g = ng // chain deltas: versions compose
+			}
+		})
+	}
+}
+
+// TestApplyDeltaOwnsItsArrays pins that a version outlives its base: the
+// serving layer unmaps a retired .gbcsr base once its last reader is done,
+// so no array of ApplyDelta's result, labels included, may alias the
+// base's. It applies a delta to a mapped base, closes the base, and then
+// reads every row and label of the result.
+func TestApplyDeltaOwnsItsArrays(t *testing.T) {
+	for _, tc := range deltaShapes {
+		t.Run(tc.name, func(t *testing.T) {
+			r := xrand.New(7)
+			const n = 60
+			labels := make([]int64, n)
+			for v := range labels {
+				labels[v] = 1000 + 7*int64(v)
+			}
+			path := filepath.Join(t.TempDir(), "base"+CSRFileExt)
+			if err := randomGraph(t, n, tc.directed, tc.weighted, labels, r).WriteCSRFile(path); err != nil {
+				t.Fatal(err)
+			}
+			base, err := OpenCSR(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !base.Mapped() {
+				base.Close()
+				t.Skip("platform loads .gbcsr on the heap; nothing to unmap")
+			}
+			d := randomDelta(base, 4, r)
+			ng, err := ApplyDelta(base, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rebuild(t, n, tc.directed, tc.weighted, applyToSet(base, d))
+			if err := base.Close(); err != nil {
+				t.Fatal(err)
+			}
+			sameCSR(t, ng, want)
+			for v := int32(0); v < n; v++ {
+				if got := ng.Label(v); got != labels[v] {
+					t.Fatalf("node %d: label %d, want %d", v, got, labels[v])
+				}
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -223,4 +224,138 @@ func TestReadWeightedEdgeListRejectsNonFinite(t *testing.T) {
 	if _, err := ReadWeightedEdgeList(strings.NewReader("0 1 1e308\n"), false); err != nil {
 		t.Fatalf("large finite weight rejected: %v", err)
 	}
+}
+
+// applyDeltaInput encodes a FuzzApplyDelta input: the node count, the base
+// graph's edges, then each delta's edges closed by 0xff. A delta edge is
+// deleted if the version it applies to has it and inserted otherwise.
+func applyDeltaInput(n int, base [][2]byte, deltas ...[][2]byte) []byte {
+	data := []byte{byte(n - 1), byte(len(base))}
+	for _, e := range base {
+		data = append(data, e[0], e[1], 3)
+	}
+	for _, d := range deltas {
+		for _, e := range d {
+			data = append(data, e[0], e[1], 5)
+		}
+		data = append(data, 0xff)
+	}
+	return data
+}
+
+// FuzzApplyDelta checks ApplyDelta against the Builder oracle. The bytes
+// build a graph of at most 40 nodes (byte 0 is n − 1, byte 1 the number of
+// base edges, then one (u, v, weight) triple per edge) and a chain of up to
+// 16 deltas: each further triple toggles edge (u, v), a deletion when the
+// current version has it and an insertion otherwise, and a 0xff byte closes
+// a delta. Every version must equal, CSR for CSR, a Builder fed its edge
+// set, and applying a delta must leave the version it applies to intact.
+func FuzzApplyDelta(f *testing.F) {
+	path := func(n int) [][2]byte {
+		var es [][2]byte
+		for v := 0; v+1 < n; v++ {
+			es = append(es, [2]byte{byte(v), byte(v + 1)})
+		}
+		return es
+	}
+	var ring [][2]byte
+	for v := 0; v < 8; v++ {
+		ring = append(ring, [2]byte{byte(v), byte((v + 3) % 8)})
+	}
+	for _, in := range [][]byte{
+		// Touches node 0 and node n−1.
+		applyDeltaInput(10, path(10), [][2]byte{{0, 9}, {0, 1}, {8, 9}}),
+		// An isolated node gains its first edge.
+		applyDeltaInput(6, path(4), [][2]byte{{5, 2}}),
+		// A row loses its only edge.
+		applyDeltaInput(6, [][2]byte{{0, 1}, {1, 2}, {4, 1}}, [][2]byte{{4, 1}}),
+		// Adjacent touched rows.
+		applyDeltaInput(8, path(8), [][2]byte{{2, 5}, {3, 4}, {4, 7}}),
+		// Every row touched.
+		applyDeltaInput(8, path(8), ring),
+		// Chained deltas, the last one re-inserting what the first deleted.
+		applyDeltaInput(7, path(7), [][2]byte{{1, 2}, {0, 6}}, [][2]byte{{2, 4}, {6, 0}}, [][2]byte{{1, 2}, {3, 5}}),
+		// Every edge deleted, then one inserted.
+		applyDeltaInput(5, path(3), path(3), [][2]byte{{4, 0}}),
+	} {
+		f.Add(in, false, false)
+		f.Add(in, true, true)
+	}
+	f.Add(applyDeltaInput(10, path(10), [][2]byte{{9, 0}, {1, 0}}), true, false)
+	f.Add(applyDeltaInput(6, path(4), [][2]byte{{5, 2}, {2, 0}}), false, true)
+	f.Fuzz(func(t *testing.T, data []byte, directed, weighted bool) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%40
+		edges := int(data[1])
+		data = data[2:]
+		weight := func(b byte) float64 { return float64(1+b%8) / 2 }
+		b := NewBuilder(n, directed)
+		for ; edges > 0 && len(data) >= 3; edges-- {
+			u, v := int32(int(data[0])%n), int32(int(data[1])%n)
+			if weighted {
+				b.AddWeightedEdge(u, v, weight(data[2]))
+			} else {
+				b.AddEdge(u, v)
+			}
+			data = data[3:]
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A weighted builder whose every edge was a self-loop builds an
+		// unweighted graph.
+		weighted = g.Weighted()
+		for deltas := 0; len(data) > 0 && deltas < 16; deltas++ {
+			d := &Delta{}
+			named := make(map[[2]int32]bool)
+			for ; len(data) >= 3 && data[0] != 0xff; data = data[3:] {
+				u, v := int32(int(data[0])%n), int32(int(data[1])%n)
+				key := [2]int32{u, v}
+				if !directed && v < u {
+					key = [2]int32{v, u}
+				}
+				if u == v || named[key] {
+					continue
+				}
+				named[key] = true
+				e := DeltaEdge{U: u, V: v}
+				if g.HasEdge(u, v) {
+					d.Delete = append(d.Delete, e)
+					continue
+				}
+				if weighted {
+					e.W = weight(data[2])
+				}
+				d.Insert = append(d.Insert, e)
+			}
+			data = data[min(1, len(data)):]
+
+			before := edgeSet(g)
+			set := applyToSet(g, d)
+			ng, err := ApplyDelta(g, d)
+			if err != nil {
+				t.Fatalf("delta %d %+v: %v", deltas, *d, err)
+			}
+			if !reflect.DeepEqual(edgeSet(g), before) {
+				t.Fatalf("delta %d changed the version it applied to", deltas)
+			}
+			if ng.Weighted() != weighted {
+				t.Fatalf("delta %d: weighted %v, want %v", deltas, ng.Weighted(), weighted)
+			}
+			// The Builder builds no weighted graph without edges, so a
+			// weighted version that lost its last edge is compared with the
+			// unweighted empty graph, rows only.
+			if len(set) == 0 && weighted {
+				rows := *ng
+				rows.outWts, rows.inWts = nil, nil
+				sameCSR(t, &rows, rebuild(t, n, directed, false, set))
+			} else {
+				sameCSR(t, ng, rebuild(t, n, directed, weighted, set))
+			}
+			g = ng
+		}
+	})
 }

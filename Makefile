@@ -20,11 +20,12 @@ test:
 # Race-detector pass over every package; includes the parallel-growth →
 # arena-commit path (sampling's TestParallelGrowGreedyRegrowCycles and
 # friends drive multi-worker growth into the flat coverage engine). The
-# sample-family concurrency tests and the lane-budget tests (tokens
-# granted and returned per chunk) then run ten more times.
+# sample-family concurrency tests, the run-queue tests (per-tenant FIFOs,
+# round robin, tenant map drained, shutdown storms) and the lane-budget
+# tests (tokens granted and returned per chunk) then run ten more times.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestFamily|TestFlightGroupCoalesces|TestTopKLaneBudget' ./internal/server
+	$(GO) test -race -count=10 -run 'TestFamily|TestFlightGroupCoalesces|TestTopKLaneBudget|TestScheduler' ./internal/server
 	$(GO) test -race -count=10 -run 'TestLaneBudget|TestDroppedSetsLeaveNoGoroutines' ./internal/sampling
 
 # Chaos pass: the fault-injection build (-tags faultinject) with every

@@ -1,7 +1,10 @@
 // Command gbcd serves top-K group betweenness centrality over HTTP/JSON.
 //
 // It keeps named graphs resident in an LRU registry and bounds solver
-// concurrency with a FIFO-queued worker pool. Each graph keeps one sample
+// concurrency with one worker pool (-workers) over one bounded run queue
+// (-queue), dequeued round-robin across the X-Tenant header's tenants; a
+// full queue answers 429 and a draining one 503, both with Retry-After.
+// -tenant-rps adds a per-tenant request quota. Each graph keeps one sample
 // family per seed it has served: the family stores the samples its runs
 // drew, so a later query on the same (graph, seed) — any K, ε or
 // algorithm — draws only the samples no earlier run drew; it memoizes
@@ -56,7 +59,11 @@ import (
 )
 
 func main() {
-	cfg := parseFlags(os.Args[1:], flag.ExitOnError)
+	cfg, err := parseFlags(os.Args[1:], flag.ExitOnError)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gbcd:", err)
+		os.Exit(2)
+	}
 	// GBC_FAULTS arms the fault-injection harness — a no-op unless the
 	// binary was built with -tags faultinject (chaos testing only).
 	if spec := os.Getenv("GBC_FAULTS"); spec != "" {
@@ -85,26 +92,29 @@ type config struct {
 	server     server.Config
 }
 
-func parseFlags(args []string, onError flag.ErrorHandling) config {
+// parseFlags maps args onto a config. Under flag.ContinueOnError an
+// unknown or malformed flag is returned as an error rather than leaving
+// every later flag at its default.
+func parseFlags(args []string, onError flag.ErrorHandling) (config, error) {
 	fs := flag.NewFlagSet("gbcd", onError)
 	var cfg config
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	fs.IntVar(&cfg.server.Workers, "workers", 0, "concurrent solver runs (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.server.QueueDepth, "queue", 0, "pending-run queue depth (0 = 64)")
+	fs.IntVar(&cfg.server.Workers, "workers", 0, "solver runs executing at once, across all tenants (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.server.QueueDepth, "queue", 0, "runs that may wait for a worker before /v1/topk answers 429 (0 = 64)")
 	fs.IntVar(&cfg.server.MaxGraphs, "max-graphs", 0, "resident graph limit (0 = 16)")
 	fs.Int64Var(&cfg.server.SampleBytes, "sample-bytes", 0, "bytes of stored samples all graphs' sample families may retain before the least recently used are dropped (0 = 256 MiB)")
 	fs.DurationVar(&cfg.server.DefaultTimeout, "default-timeout", 0, "per-run deadline when the request names none (0 = 30s)")
 	fs.DurationVar(&cfg.server.MaxTimeout, "max-timeout", 0, "cap on requested per-run deadlines (0 = 5m)")
 	fs.DurationVar(&cfg.drainGrace, "drain-grace", 10*time.Second, "how long in-flight runs may finish after SIGTERM before being cut to partial results")
-	fs.Float64Var(&cfg.server.MaxCost, "max-cost", 0, "admission-control bound on total estimated run cost queued+running, in (n+m)·eps^-2·log(n/gamma) units (0 = unlimited)")
-	fs.Float64Var(&cfg.server.FastLaneThreshold, "fastlane-threshold", 0, "route runs at or below this estimated cost through the small-job fast lane (0 = default 1e7, negative = disable)")
 	fs.Float64Var(&cfg.server.TenantRPS, "tenant-rps", 0, "per-tenant /v1/topk requests per second, keyed on the X-Tenant header (0 = unlimited)")
 	fs.Int64Var(&cfg.server.MaxBodyBytes, "max-body", 0, "request body size limit for non-upload endpoints (0 = 1 MiB)")
 	fs.BoolVar(&cfg.shardMode, "shard", false, "run as a shard worker: serve epoch draw requests over the shard wire protocol instead of the full API")
 	fs.StringVar(&cfg.shardRoot, "shard-root", ".", "shard worker only: the directory whose .gbcsr files epoch requests may open; any path resolving outside it is refused")
 	fs.StringVar(&cfg.shards, "shards", "", "comma-separated shard-worker base URLs; non-empty makes this daemon a coordinator that dispatches sample growth for .gbcsr-path graphs across them")
 	fs.DurationVar(&cfg.server.ShardEpochTimeout, "shard-epoch-timeout", 0, "per-epoch deadline on one shard worker before its range is reassigned (0 = 30s)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
 	if cfg.shards != "" {
 		for _, u := range strings.Split(cfg.shards, ",") {
 			if u = strings.TrimSpace(u); u != "" {
@@ -112,7 +122,7 @@ func parseFlags(args []string, onError flag.ErrorHandling) config {
 			}
 		}
 	}
-	return cfg
+	return cfg, nil
 }
 
 // run starts the daemon and blocks until ctx cancels and the drain

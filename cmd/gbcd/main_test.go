@@ -18,7 +18,10 @@ import (
 // second must succeed against the same warm registry entry), then cancel
 // the context and require a clean graceful drain.
 func TestDaemonLifecycle(t *testing.T) {
-	cfg := parseFlags([]string{"-addr", "127.0.0.1:0", "-drain-grace", "2s"}, flag.ContinueOnError)
+	cfg, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-drain-grace", "2s"}, flag.ContinueOnError)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -108,20 +111,22 @@ func TestDaemonLifecycle(t *testing.T) {
 }
 
 // TestParseOverloadFlags pins the overload-control and capacity flags onto
-// their server.Config fields.
+// their server.Config fields, and rejects the removed cost-admission and
+// fast-lane flags instead of silently leaving every later flag at its
+// default.
 func TestParseOverloadFlags(t *testing.T) {
-	cfg := parseFlags([]string{
-		"-max-cost", "5e9",
-		"-fastlane-threshold", "1e6",
+	cfg, err := parseFlags([]string{
+		"-workers", "3",
+		"-queue", "16",
 		"-tenant-rps", "2.5",
 		"-max-body", "4096",
 		"-sample-bytes", "1048576",
 	}, flag.ContinueOnError)
-	if cfg.server.MaxCost != 5e9 {
-		t.Errorf("MaxCost = %g", cfg.server.MaxCost)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.server.FastLaneThreshold != 1e6 {
-		t.Errorf("FastLaneThreshold = %g", cfg.server.FastLaneThreshold)
+	if cfg.server.Workers != 3 || cfg.server.QueueDepth != 16 {
+		t.Errorf("Workers, QueueDepth = %d, %d", cfg.server.Workers, cfg.server.QueueDepth)
 	}
 	if cfg.server.TenantRPS != 2.5 {
 		t.Errorf("TenantRPS = %g", cfg.server.TenantRPS)
@@ -132,10 +137,18 @@ func TestParseOverloadFlags(t *testing.T) {
 	if cfg.server.SampleBytes != 1<<20 {
 		t.Errorf("SampleBytes = %d", cfg.server.SampleBytes)
 	}
+	for _, removed := range []string{"-max-cost", "-fastlane-threshold"} {
+		if _, err := parseFlags([]string{removed, "1e6", "-tenant-rps", "2.5"}, flag.ContinueOnError); err == nil {
+			t.Errorf("%s parsed without an error", removed)
+		}
+	}
 }
 
 func TestDaemonBadAddr(t *testing.T) {
-	cfg := parseFlags([]string{"-addr", "256.256.256.256:1"}, flag.ContinueOnError)
+	cfg, err := parseFlags([]string{"-addr", "256.256.256.256:1"}, flag.ContinueOnError)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := run(context.Background(), cfg, nil); err == nil {
 		t.Fatal("expected listen error")
 	}

@@ -57,13 +57,11 @@ type Metrics struct {
 	// Overload-accounting counters (PR 6). Every structurally valid
 	// /v1/topk request is admitted into the pipeline and then terminates in
 	// exactly one of completed, shed or failed — the chaos test asserts
-	// admitted == completed + shed + failed. Degraded counts the subset of
-	// shed requests answered from the ε-dominance cache.
+	// admitted == completed + shed + failed.
 	reqAdmitted  atomic.Int64 // valid requests entering the serving pipeline
 	reqCompleted atomic.Int64 // requests answered by a solver run (full or partial)
-	reqShed      atomic.Int64 // requests rejected by admission control, quota or drain
+	reqShed      atomic.Int64 // requests rejected by a full queue, quota or drain
 	reqFailed    atomic.Int64 // requests that died on a solver or encoding error
-	reqDegraded  atomic.Int64 // shed requests served a cached ε-dominating result
 
 	// Graph-storage counters (PR 7): the mmap-able .gbcsr load path.
 	graphBytesMapped  atomic.Int64 // bytes of .gbcsr files currently mapped
@@ -297,9 +295,8 @@ func (m *Metrics) RequestCompleted() {
 	m.reqCompleted.Add(1)
 }
 
-// RequestShed counts one admitted request rejected by cost-based admission
-// control, a full queue, a tenant quota or the drain state. A shed request
-// answered from the degradation cache is still shed (see RequestDegraded).
+// RequestShed counts one admitted request rejected by a full queue, a
+// tenant quota or the drain state.
 func (m *Metrics) RequestShed() {
 	if m == nil {
 		return
@@ -314,16 +311,6 @@ func (m *Metrics) RequestFailed() {
 		return
 	}
 	m.reqFailed.Add(1)
-}
-
-// RequestDegraded counts one shed request served a cached ε-dominating
-// result instead of an error — a subset of RequestShed, never in addition
-// to the admitted = completed + shed + failed balance.
-func (m *Metrics) RequestDegraded() {
-	if m == nil {
-		return
-	}
-	m.reqDegraded.Add(1)
 }
 
 // GraphPatched counts one new graph version created by an edge delta.
@@ -411,7 +398,6 @@ type Stats struct {
 	RequestsCompleted int64 `json:"requestsCompleted"`
 	RequestsShed      int64 `json:"requestsShed"`
 	RequestsFailed    int64 `json:"requestsFailed"`
-	RequestsDegraded  int64 `json:"requestsDegraded"`
 
 	GraphBytesMapped  int64 `json:"graphBytesMapped"`
 	GraphLoadNanos    int64 `json:"graphLoadNanos"`
@@ -465,7 +451,6 @@ func (m *Metrics) Snapshot() Stats {
 		RequestsCompleted: m.reqCompleted.Load(),
 		RequestsShed:      m.reqShed.Load(),
 		RequestsFailed:    m.reqFailed.Load(),
-		RequestsDegraded:  m.reqDegraded.Load(),
 
 		GraphBytesMapped:  m.graphBytesMapped.Load(),
 		GraphLoadNanos:    m.graphLoadNanos.Load(),

@@ -31,7 +31,6 @@ func TestNilMetricsIsSafe(t *testing.T) {
 	m.RequestCompleted()
 	m.RequestShed()
 	m.RequestFailed()
-	m.RequestDegraded()
 	if s := m.Snapshot(); s != (Stats{}) {
 		t.Fatalf("nil snapshot = %+v, want zero", s)
 	}
@@ -50,15 +49,14 @@ func TestServingCounters(t *testing.T) {
 	m.RegistryHit()
 	m.RegistryMiss()
 	m.RegistryEviction()
-	// Overload accounting: 4 admitted = 2 completed + 1 shed (degraded) + 1
-	// failed, the invariant the chaos test asserts end to end.
+	// Overload accounting: 4 admitted = 2 completed + 1 shed + 1 failed, the
+	// invariant the chaos test asserts end to end.
 	for i := 0; i < 4; i++ {
 		m.RequestAdmitted()
 	}
 	m.RequestCompleted()
 	m.RequestCompleted()
 	m.RequestShed()
-	m.RequestDegraded()
 	m.RequestFailed()
 
 	s := m.Snapshot()
@@ -70,7 +68,7 @@ func TestServingCounters(t *testing.T) {
 			s.RegistryHits, s.RegistryMisses, s.RegistryEvictions)
 	}
 	if s.RequestsAdmitted != 4 || s.RequestsCompleted != 2 || s.RequestsShed != 1 ||
-		s.RequestsFailed != 1 || s.RequestsDegraded != 1 {
+		s.RequestsFailed != 1 {
 		t.Fatalf("request counters = %+v", s)
 	}
 	if s.RequestsAdmitted != s.RequestsCompleted+s.RequestsShed+s.RequestsFailed {
@@ -83,7 +81,7 @@ func TestServingCounters(t *testing.T) {
 	}
 	for _, key := range []string{"queueDepth", "runsCoalesced", "registryHits",
 		"registryMisses", "registryEvictions", "requestsAdmitted",
-		"requestsCompleted", "requestsShed", "requestsFailed", "requestsDegraded"} {
+		"requestsCompleted", "requestsShed", "requestsFailed"} {
 		if !strings.Contains(string(data), `"`+key+`"`) {
 			t.Errorf("stats JSON missing %q: %s", key, data)
 		}

@@ -39,7 +39,7 @@ import (
 //     a status from the documented overload set;
 //   - partial results are honest (never claim convergence);
 //   - the overload accounting balances exactly
-//     (admitted == completed + shed + failed, degraded ⊆ shed);
+//     (admitted == completed + shed + failed);
 //   - nothing wedges: queue empty, no busy workers or active runs, every
 //     lane token back in the server's budget, and goroutines return to
 //     baseline.
@@ -52,10 +52,8 @@ func TestChaos(t *testing.T) {
 	m := &obs.Metrics{}
 	s := New(Config{
 		Workers: 4, QueueDepth: 4,
-		FastLaneWorkers: 2, FastLaneDepth: 4,
-		MaxCost:   5e9,
-		TenantRPS: 200, TenantBurst: 50,
-		Metrics: m,
+		TenantRPS: 200,
+		Metrics:   m,
 	})
 	ts := httptest.NewServer(s.Handler())
 
@@ -199,10 +197,6 @@ func TestChaos(t *testing.T) {
 					badResponses.Add(1)
 				}
 			}
-			if r.Degraded && r.DegradedEpsilon <= 0 {
-				t.Errorf("request %d: degraded without an epsilon: %+v", i, r)
-				badResponses.Add(1)
-			}
 			return
 		}
 		var e errorResponse
@@ -212,8 +206,8 @@ func TestChaos(t *testing.T) {
 		}
 	}
 
-	// Mixed traffic: three tenants; cheap fast-lane runs on the small
-	// graph, expensive tight-ε runs on the big one (deadline-bounded so a
+	// Mixed traffic: three tenants; cheap runs on the small graph,
+	// expensive tight-ε runs on the big one (deadline-bounded so a
 	// wave always terminates), races against the victim graph (which may
 	// 404 mid-eviction), and a sprinkle of unknown-graph requests.
 	request := func(i int) (int, []byte, error) {
@@ -269,9 +263,6 @@ func TestChaos(t *testing.T) {
 	if st.RequestsAdmitted != st.RequestsCompleted+st.RequestsShed+st.RequestsFailed {
 		t.Errorf("overload accounting broken: admitted=%d completed=%d shed=%d failed=%d",
 			st.RequestsAdmitted, st.RequestsCompleted, st.RequestsShed, st.RequestsFailed)
-	}
-	if st.RequestsDegraded > st.RequestsShed {
-		t.Errorf("degraded (%d) exceeds shed (%d)", st.RequestsDegraded, st.RequestsShed)
 	}
 	if st.RequestsAdmitted == 0 || st.RequestsCompleted == 0 {
 		t.Errorf("chaos run admitted/completed nothing: %+v", st)

@@ -330,10 +330,9 @@ func (r *Registry) dropLocked(f *family) {
 
 // Dominating returns a memo answer that ε-dominates a request — same
 // family and memo key (including graph version), memo ε ≤ eps — or ok
-// false. It backs both the first-class reuse path (freshness "any") and
-// graceful degradation when the scheduler sheds the run. A hit marks the
-// family most recently used.
-func (e *Entry) Dominating(fk familyKey, mk memoKey, eps float64) (wire.Result, float64, bool) {
+// false. It backs the reuse path of freshness "any" requests. A hit marks
+// the family most recently used.
+func (e *Entry) Dominating(fk familyKey, mk memoKey, eps float64) (wire.Result, bool) {
 	r := e.reg
 	r.famMu.Lock()
 	f := e.families[fk]
@@ -342,13 +341,13 @@ func (e *Entry) Dominating(fk familyKey, mk memoKey, eps float64) (wire.Result, 
 	}
 	r.famMu.Unlock()
 	if f == nil {
-		return wire.Result{}, 0, false
+		return wire.Result{}, false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	c, ok := f.memo[mk]
 	if !ok || c.epsilon > eps {
-		return wire.Result{}, 0, false
+		return wire.Result{}, false
 	}
-	return c.res, c.epsilon, true
+	return c.res, true
 }

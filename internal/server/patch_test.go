@@ -224,7 +224,7 @@ func TestTopKServedFromCache(t *testing.T) {
 	if err := json.Unmarshal(body, &hit); err != nil {
 		t.Fatal(err)
 	}
-	if hit.ServedFrom != "cache" || hit.GraphVersion != 1 || hit.Degraded {
+	if hit.ServedFrom != "cache" || hit.GraphVersion != 1 {
 		t.Fatalf("repeat response: %+v, want servedFrom cache on version 1", hit)
 	}
 	aj, _ := json.Marshal(first.Result.Group)

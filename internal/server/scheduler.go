@@ -10,39 +10,22 @@ import (
 	"gbc/internal/faultinject"
 )
 
-// ErrQueueFull rejects a submission when the target lane's queue is at
-// capacity; the HTTP layer maps it to 429 Too Many Requests with a
-// Retry-After computed from the drain rate.
+// ErrQueueFull rejects a submission when the run queue is at capacity;
+// the HTTP layer maps it to 429 Too Many Requests with a Retry-After
+// computed from the drain rate.
 var ErrQueueFull = errors.New("server: run queue full")
-
-// ErrOverCapacity rejects a submission whose cost would push the
-// scheduler's total pending work past Config.MaxCost — admission control
-// for expensive runs. Also a 429 with Retry-After.
-var ErrOverCapacity = errors.New("server: estimated cost exceeds remaining capacity")
 
 // ErrDraining rejects a submission after Shutdown began; the HTTP layer
 // maps it to 503 Service Unavailable.
 var ErrDraining = errors.New("server: scheduler draining")
 
-// Job carries a submission's scheduling attributes: which tenant it counts
-// against, its estimated cost (EstimateCost units) and whether it rides the
-// small-job fast lane.
-type Job struct {
-	Tenant   string
-	Cost     float64
-	FastLane bool
-}
-
-// Scheduler bounds solver concurrency and arbitrates overload. Two lanes —
-// a normal lane for arbitrary runs and a fast lane reserved for cheap ones
-// — each own a fixed worker pool and a bounded queue, so tiny-graph
-// requests never wait behind billion-edge monsters. Within a lane, tasks
-// queue per tenant and workers dequeue weighted-round-robin across
-// tenants, so one flooding tenant delays only itself. Admission is
-// rejected fast on a full lane (ErrQueueFull), on aggregate cost beyond
-// MaxCost (ErrOverCapacity), and after Shutdown (ErrDraining) — adaptive
-// sampling has no a-priori work bound, so fail-fast admission is the only
-// real protection against pile-ups.
+// Scheduler bounds solver concurrency and arbitrates overload: one pool of
+// workers over one bounded queue. Runs queue per tenant, and workers
+// dequeue round-robin across the tenants with queued runs, so one flooding
+// tenant delays only itself. Admission fails fast on a full queue
+// (ErrQueueFull) and after Shutdown (ErrDraining) — adaptive sampling stops
+// when its error rule fires, not after a sample count known in advance, so
+// a bounded queue is the protection against pile-ups.
 //
 // Every run executes under a context derived from both the request's
 // deadline and the scheduler's base context; Shutdown first stops
@@ -55,11 +38,15 @@ type Scheduler struct {
 	cond     *sync.Cond
 	draining bool
 
-	normal, fast *lane
-
-	maxCost     float64 // 0 = unlimited
-	pendingCost float64 // queued + running cost
-	drain       drainTracker
+	depth   int
+	queued  int
+	pending int // queued + running runs, the backlog RetryAfter drains
+	// tenants holds a FIFO for every tenant with queued runs, and rotation
+	// orders those same FIFOs for the round robin; a FIFO leaves both when
+	// it empties, so client-chosen tenant names never accumulate.
+	tenants  map[string]*tenantQ
+	rotation []*tenantQ
+	drain    drainTracker // guarded by mu
 
 	metrics metricsSink
 
@@ -68,19 +55,10 @@ type Scheduler struct {
 	workers    sync.WaitGroup
 }
 
-// SchedulerConfig sizes a Scheduler. Zero workers/depth fields get min 1;
-// FastWorkers 0 disables the fast lane (every job runs on the normal
-// lane).
+// SchedulerConfig sizes a Scheduler. Zero Workers or Depth get 1.
 type SchedulerConfig struct {
-	Workers, Depth         int
-	FastWorkers, FastDepth int
-	// MaxCost bounds the total estimated cost queued plus running
-	// (0 = unlimited).
-	MaxCost float64
-	// Weights sets per-tenant weighted-round-robin weights (default 1): a
-	// tenant with weight w dequeues w tasks per cycle.
-	Weights map[string]int
-	Metrics metricsSink
+	Workers, Depth int
+	Metrics        metricsSink
 }
 
 // metricsSink is the slice of obs.Metrics the scheduler updates; an
@@ -96,92 +74,14 @@ func (noopMetrics) QueueDepth(int) {}
 type task struct {
 	ctx  context.Context
 	fn   func(ctx context.Context)
-	cost float64
 	done chan struct{}
 	err  error // a recovered panic from fn, surfaced to Do's caller
 }
 
-// lane is one queue + worker pool: per-tenant FIFOs dequeued WRR.
-type lane struct {
-	depth   int
-	queued  int
-	weights map[string]int
-	tenants map[string]*tenantQ
-	// active rotates through tenants with pending tasks; cursor and the
-	// per-tenant credit implement the weighted round robin.
-	active []*tenantQ
-	cursor int
-}
-
-// tenantQ is one tenant's FIFO within a lane.
+// tenantQ is one tenant's FIFO of queued runs.
 type tenantQ struct {
-	name   string
-	weight int
-	credit int
-	tasks  []*task
-	listed bool // on the lane's active rotation
-}
-
-func newLane(depth int, weights map[string]int) *lane {
-	if depth < 1 {
-		depth = 1
-	}
-	return &lane{depth: depth, weights: weights, tenants: make(map[string]*tenantQ)}
-}
-
-func (l *lane) enqueue(tenant string, t *task) {
-	q := l.tenants[tenant]
-	if q == nil {
-		w := l.weights[tenant]
-		if w < 1 {
-			w = 1
-		}
-		q = &tenantQ{name: tenant, weight: w}
-		l.tenants[tenant] = q
-	}
-	q.tasks = append(q.tasks, t)
-	if !q.listed {
-		q.listed = true
-		q.credit = q.weight
-		l.active = append(l.active, q)
-	}
-	l.queued++
-}
-
-// dequeue pops the next task under the weighted round robin: the tenant at
-// the cursor serves up to `weight` consecutive tasks (its credit), then
-// the cursor advances; a tenant that runs out of tasks leaves the rotation
-// immediately. Caller must hold the scheduler lock and have checked
-// l.queued > 0.
-func (l *lane) dequeue() *task {
-	for {
-		if l.cursor >= len(l.active) {
-			l.cursor = 0
-		}
-		q := l.active[l.cursor]
-		if len(q.tasks) == 0 {
-			// Exhausted tenant: drop from rotation, keep cursor position
-			// (the next tenant slides into it).
-			q.listed = false
-			l.active = append(l.active[:l.cursor], l.active[l.cursor+1:]...)
-			continue
-		}
-		if q.credit <= 0 {
-			q.credit = q.weight
-			l.cursor++
-			continue
-		}
-		q.credit--
-		t := q.tasks[0]
-		q.tasks[0] = nil // let the task be collected once done
-		q.tasks = q.tasks[1:]
-		if len(q.tasks) == 0 {
-			q.listed = false
-			l.active = append(l.active[:l.cursor], l.active[l.cursor+1:]...)
-		}
-		l.queued--
-		return t
-	}
+	name  string
+	tasks []*task
 }
 
 // NewScheduler starts a scheduler per cfg.
@@ -189,13 +89,16 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
+	if cfg.Depth < 1 {
+		cfg.Depth = 1
+	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = noopMetrics{}
 	}
 	base, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
-		normal:     newLane(cfg.Depth, cfg.Weights),
-		maxCost:    cfg.MaxCost,
+		depth:      cfg.Depth,
+		tenants:    make(map[string]*tenantQ),
 		metrics:    cfg.Metrics,
 		base:       base,
 		cancelBase: cancel,
@@ -203,31 +106,57 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	s.cond = sync.NewCond(&s.mu)
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go s.worker(s.normal)
-	}
-	if cfg.FastWorkers > 0 {
-		s.fast = newLane(cfg.FastDepth, cfg.Weights)
-		s.workers.Add(cfg.FastWorkers)
-		for i := 0; i < cfg.FastWorkers; i++ {
-			go s.worker(s.fast)
-		}
+		go s.worker()
 	}
 	return s
 }
 
-// worker serves one lane until the lane is drained dry during shutdown.
-func (s *Scheduler) worker(l *lane) {
+// enqueue appends t to tenant's FIFO; a tenant with nothing queued joins
+// the back of the rotation. Caller must hold s.mu.
+func (s *Scheduler) enqueue(tenant string, t *task) {
+	q := s.tenants[tenant]
+	if q == nil {
+		q = &tenantQ{name: tenant}
+		s.tenants[tenant] = q
+		s.rotation = append(s.rotation, q)
+	}
+	q.tasks = append(q.tasks, t)
+	s.queued++
+}
+
+// dequeue pops the next task round-robin: the tenant at the front of the
+// rotation gives up its oldest task and moves to the back, or leaves the
+// rotation and the map once its FIFO is empty. Caller must hold s.mu and
+// have checked s.queued > 0.
+func (s *Scheduler) dequeue() *task {
+	q := s.rotation[0]
+	s.rotation[0] = nil
+	s.rotation = s.rotation[1:]
+	t := q.tasks[0]
+	q.tasks[0] = nil // let the task be collected once done
+	q.tasks = q.tasks[1:]
+	if len(q.tasks) > 0 {
+		s.rotation = append(s.rotation, q)
+	} else {
+		delete(s.tenants, q.name)
+	}
+	s.queued--
+	return t
+}
+
+// worker serves the queue until it is drained dry during shutdown.
+func (s *Scheduler) worker() {
 	defer s.workers.Done()
 	for {
 		s.mu.Lock()
-		for l.queued == 0 && !s.draining {
+		for s.queued == 0 && !s.draining {
 			s.cond.Wait()
 		}
-		if l.queued == 0 { // draining and nothing left in this lane
+		if s.queued == 0 { // draining and nothing left
 			s.mu.Unlock()
 			return
 		}
-		t := l.dequeue()
+		t := s.dequeue()
 		s.metrics.QueueDepth(-1)
 		s.mu.Unlock()
 
@@ -237,9 +166,9 @@ func (s *Scheduler) worker(l *lane) {
 		s.runTask(t)
 
 		s.mu.Lock()
-		s.pendingCost -= t.cost
+		s.pending--
+		s.drain.observe(time.Now())
 		s.mu.Unlock()
-		s.drain.observe(t.cost, time.Now())
 		close(t.done)
 	}
 }
@@ -264,42 +193,33 @@ func (s *Scheduler) runTask(t *task) {
 	t.fn(ctx)
 }
 
-// Do enqueues fn and blocks until a worker has run it to completion. ctx
-// carries the request's deadline; fn receives a context that additionally
-// respects the scheduler's drain state. Do fails fast with ErrQueueFull on
-// a full lane, ErrOverCapacity when job.Cost would exceed MaxCost, and
-// ErrDraining after Shutdown began.
-func (s *Scheduler) Do(ctx context.Context, job Job, fn func(ctx context.Context)) error {
+// Do enqueues fn on tenant's FIFO and blocks until a worker has run it to
+// completion. ctx carries the request's deadline; fn receives a context
+// that additionally respects the scheduler's drain state. Do fails fast
+// with ErrQueueFull on a full queue and ErrDraining after Shutdown began.
+func (s *Scheduler) Do(ctx context.Context, tenant string, fn func(ctx context.Context)) error {
 	if faultinject.Enabled {
 		if faultinject.Fire(faultinject.SchedulerQueueFull) != nil {
 			return ErrQueueFull
 		}
 	}
-	t := &task{ctx: ctx, fn: fn, cost: job.Cost, done: make(chan struct{})}
-	l := s.normal
-	if job.FastLane && s.fast != nil {
-		l = s.fast
-	}
+	t := &task{ctx: ctx, fn: fn, done: make(chan struct{})}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return ErrDraining
 	}
-	if l.queued >= l.depth {
+	if s.queued >= s.depth {
 		s.mu.Unlock()
 		return ErrQueueFull
 	}
-	if s.maxCost > 0 && s.pendingCost+job.Cost > s.maxCost {
-		s.mu.Unlock()
-		return ErrOverCapacity
-	}
-	s.pendingCost += job.Cost
-	l.enqueue(job.Tenant, t)
+	s.pending++
+	s.enqueue(tenant, t)
 	// Gauge moves under the lock so a worker's matching -1 (which needs the
 	// lock to dequeue) can never be observed first.
 	s.metrics.QueueDepth(+1)
 	s.mu.Unlock()
-	s.cond.Broadcast()
+	s.cond.Signal()
 	<-t.done
 	return t.err
 }
@@ -311,22 +231,21 @@ func (s *Scheduler) Draining() bool {
 	return s.draining
 }
 
-// QueuedNormal returns the normal lane's queued-task count — the readiness
-// signal /readyz compares against the shed threshold.
-func (s *Scheduler) QueuedNormal() (queued, depth int) {
+// Queued returns the queued-run count and the queue's capacity — the
+// readiness signal /readyz compares against the shed threshold.
+func (s *Scheduler) Queued() (queued, depth int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.normal.queued, s.normal.depth
+	return s.queued, s.depth
 }
 
 // RetryAfter estimates how long a rejected client should back off: the
-// current pending cost divided by the observed drain rate, clamped to
+// runs queued or running divided by the observed drain rate, clamped to
 // [1s, 5m].
 func (s *Scheduler) RetryAfter() time.Duration {
 	s.mu.Lock()
-	pending := s.pendingCost
-	s.mu.Unlock()
-	return s.drain.retryAfter(pending)
+	defer s.mu.Unlock()
+	return s.drain.retryAfter(s.pending)
 }
 
 // Shutdown drains the scheduler: new submissions fail with ErrDraining
@@ -350,4 +269,53 @@ func (s *Scheduler) Shutdown(ctx context.Context) {
 	s.workers.Wait()
 	stop()
 	s.cancelBase()
+}
+
+// drainTracker estimates the scheduler's service rate in runs per second —
+// an exponentially weighted average over completed runs — so a 429 can
+// carry a Retry-After computed from how long the current backlog will take
+// to drain instead of a blind constant. The scheduler's lock guards it.
+type drainTracker struct {
+	rate float64 // EWMA runs/sec; 0 until the first completion
+	last time.Time
+}
+
+// ewmaAlpha weighs the newest completion ~1/4; a few completions are
+// enough to converge after a workload shift without one outlier run
+// whipsawing the estimate.
+const ewmaAlpha = 0.25
+
+// observe records one completed run.
+func (d *drainTracker) observe(now time.Time) {
+	if d.last.IsZero() {
+		d.last = now
+		// First completion: no interval to rate yet; seed with one run per
+		// nominal second so RetryAfter has something.
+		d.rate = 1
+		return
+	}
+	dt := now.Sub(d.last).Seconds()
+	d.last = now
+	if dt <= 0 {
+		dt = 1e-3
+	}
+	inst := 1 / dt
+	d.rate = ewmaAlpha*inst + (1-ewmaAlpha)*d.rate
+}
+
+// retryAfter converts a backlog of pending runs into a client backoff
+// hint, clamped to [1s, 5m]. With no completions observed yet the floor
+// applies.
+func (d *drainTracker) retryAfter(pending int) time.Duration {
+	if d.rate <= 0 || pending <= 0 {
+		return time.Second
+	}
+	secs := float64(pending) / d.rate
+	switch {
+	case secs < 1:
+		return time.Second
+	case secs > 300:
+		return 5 * time.Minute
+	}
+	return time.Duration(secs * float64(time.Second))
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,7 +42,7 @@ func TestSchedulerQueueFull(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		s.Do(context.Background(), Job{}, func(context.Context) {
+		s.Do(context.Background(), "", func(context.Context) {
 			close(started)
 			<-release
 		})
@@ -50,11 +51,11 @@ func TestSchedulerQueueFull(t *testing.T) {
 
 	go func() {
 		defer wg.Done()
-		s.Do(context.Background(), Job{}, func(context.Context) {})
+		s.Do(context.Background(), "", func(context.Context) {})
 	}()
 	waitFor(t, "second task to queue", func() bool { return sink.depth.Load() == 1 })
 
-	if err := s.Do(context.Background(), Job{}, func(context.Context) {}); !errors.Is(err, ErrQueueFull) {
+	if err := s.Do(context.Background(), "", func(context.Context) {}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
 
@@ -74,7 +75,7 @@ func TestSchedulerDeadlinePropagation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	var sawDeadline atomic.Bool
-	err := s.Do(ctx, Job{}, func(runCtx context.Context) {
+	err := s.Do(ctx, "", func(runCtx context.Context) {
 		<-runCtx.Done()
 		sawDeadline.Store(errors.Is(runCtx.Err(), context.Canceled) ||
 			errors.Is(runCtx.Err(), context.DeadlineExceeded))
@@ -95,7 +96,7 @@ func TestSchedulerShutdown(t *testing.T) {
 
 	started := make(chan struct{})
 	var sawCancel atomic.Bool
-	go s.Do(context.Background(), Job{}, func(runCtx context.Context) {
+	go s.Do(context.Background(), "", func(runCtx context.Context) {
 		close(started)
 		<-runCtx.Done() // only the drain grace can end this run
 		sawCancel.Store(true)
@@ -120,80 +121,15 @@ func TestSchedulerShutdown(t *testing.T) {
 	if !s.Draining() {
 		t.Fatal("Draining() false after Shutdown")
 	}
-	if err := s.Do(context.Background(), Job{}, func(context.Context) {}); !errors.Is(err, ErrDraining) {
+	if err := s.Do(context.Background(), "", func(context.Context) {}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("want ErrDraining after Shutdown, got %v", err)
 	}
 	s.Shutdown(context.Background()) // idempotent
 }
 
-// TestSchedulerOverCapacity pins cost-based admission: with MaxCost 100,
-// a running 60-cost job leaves room for 30 but not another 60, and
-// capacity frees once the first job completes.
-func TestSchedulerOverCapacity(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{Workers: 2, Depth: 4, MaxCost: 100})
-	defer s.Shutdown(context.Background())
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go s.Do(context.Background(), Job{Cost: 60}, func(context.Context) {
-		close(started)
-		<-release
-	})
-	<-started
-
-	if err := s.Do(context.Background(), Job{Cost: 60}, func(context.Context) {}); !errors.Is(err, ErrOverCapacity) {
-		t.Fatalf("want ErrOverCapacity at 60+60 > 100, got %v", err)
-	}
-	if err := s.Do(context.Background(), Job{Cost: 30}, func(context.Context) {}); err != nil {
-		t.Fatalf("30-cost job should fit under the 60-cost job: %v", err)
-	}
-	close(release)
-	// The 60-cost slot frees after its worker finishes; retry until then.
-	waitFor(t, "capacity to free", func() bool {
-		return s.Do(context.Background(), Job{Cost: 60}, func(context.Context) {}) == nil
-	})
-	if ra := s.RetryAfter(); ra < time.Second {
-		t.Fatalf("RetryAfter below the 1s floor: %v", ra)
-	}
-}
-
-// TestSchedulerFastLane: with the normal lane wedged and full, a FastLane
-// job still runs — the two lanes have independent workers and queues.
-func TestSchedulerFastLane(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{Workers: 1, Depth: 1, FastWorkers: 1, FastDepth: 1})
-	defer s.Shutdown(context.Background())
-
-	wedged := make(chan struct{})
-	release := make(chan struct{})
-	defer close(release)
-	go s.Do(context.Background(), Job{}, func(context.Context) {
-		close(wedged)
-		<-release
-	})
-	<-wedged
-	go s.Do(context.Background(), Job{}, func(context.Context) {}) // fills the normal queue
-	waitFor(t, "normal lane to fill", func() bool {
-		q, d := s.QueuedNormal()
-		return q == d
-	})
-
-	done := make(chan error, 1)
-	go func() {
-		done <- s.Do(context.Background(), Job{FastLane: true}, func(context.Context) {})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("fast-lane job failed: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("fast-lane job stuck behind the wedged normal lane")
-	}
-}
-
 // TestSchedulerTenantFairness: one worker, tenant A floods 8 tasks first,
-// tenant B adds 2 — the weighted round robin must interleave B's tasks
-// instead of running A's whole backlog first.
+// tenant B adds 2 — the round robin must interleave B's tasks instead of
+// running A's whole backlog first.
 func TestSchedulerTenantFairness(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, Depth: 32})
 	defer s.Shutdown(context.Background())
@@ -204,7 +140,7 @@ func TestSchedulerTenantFairness(t *testing.T) {
 	var wg sync.WaitGroup
 	submit := func(tenant string) {
 		defer wg.Done()
-		s.Do(context.Background(), Job{Tenant: tenant}, func(context.Context) {
+		s.Do(context.Background(), tenant, func(context.Context) {
 			<-gate
 			mu.Lock()
 			order = append(order, tenant)
@@ -216,24 +152,24 @@ func TestSchedulerTenantFairness(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Do(context.Background(), Job{Tenant: "A"}, func(context.Context) { close(wedged); <-gate })
+		s.Do(context.Background(), "A", func(context.Context) { close(wedged); <-gate })
 	}()
 	<-wedged
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go submit("A")
 	}
-	waitFor(t, "A's backlog to queue", func() bool { q, _ := s.QueuedNormal(); return q == 8 })
+	waitFor(t, "A's backlog to queue", func() bool { q, _ := s.Queued(); return q == 8 })
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go submit("B")
 	}
-	waitFor(t, "B's tasks to queue", func() bool { q, _ := s.QueuedNormal(); return q == 10 })
+	waitFor(t, "B's tasks to queue", func() bool { q, _ := s.Queued(); return q == 10 })
 	close(gate)
 	wg.Wait()
 
-	// With equal weights the rotation alternates A,B,A,B,… while both have
-	// work: B's second task must run well before A's backlog is done.
+	// The rotation alternates A,B,A,B,… while both have work: B's second
+	// task must run well before A's backlog is done.
 	lastB := -1
 	for i, tenant := range order {
 		if tenant == "B" {
@@ -245,24 +181,65 @@ func TestSchedulerTenantFairness(t *testing.T) {
 	}
 }
 
+// TestSchedulerTenantMapDrains: the tenant names come from a client
+// header, so the scheduler must hold a FIFO only while its tenant has runs
+// queued. Distinct tenants queued behind a wedged worker are all held, and
+// once they have run the map and the rotation are empty again.
+func TestSchedulerTenantMapDrains(t *testing.T) {
+	const tenants = 256
+	s := NewScheduler(SchedulerConfig{Workers: 1, Depth: tenants})
+	defer s.Shutdown(context.Background())
+	held := func() (int, int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.tenants), len(s.rotation)
+	}
+
+	wedged := make(chan struct{})
+	release := make(chan struct{})
+	unwedge := sync.OnceFunc(func() { close(release) })
+	defer unwedge() // before Shutdown, so a failed check cannot hang the drain
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.Do(context.Background(), "wedge", func(context.Context) { close(wedged); <-release })
+	}()
+	<-wedged
+	for i := 0; i < tenants; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := s.Do(context.Background(), fmt.Sprintf("tenant-%d", i), func(context.Context) {}); err != nil {
+				t.Errorf("tenant %d: %v", i, err)
+			}
+		}(i)
+	}
+	waitFor(t, "every tenant to queue", func() bool { q, _ := s.Queued(); return q == tenants })
+	if m, r := held(); m != tenants || r != tenants {
+		t.Fatalf("queued tenants: map %d, rotation %d, want %d each", m, r, tenants)
+	}
+	unwedge()
+	wg.Wait()
+	if m, r := held(); m != 0 || r != 0 {
+		t.Fatalf("drained scheduler still holds %d tenant FIFOs (%d on the rotation)", m, r)
+	}
+}
+
 // TestSchedulerShutdownStress races Shutdown against a storm of concurrent
 // submissions and drains (run under -race in CI). Every Do must return nil
 // or a typed admission error — never panic, never hang — and in-flight
 // runs must observe the grace cancellation rather than being abandoned.
 func TestSchedulerShutdownStress(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		s := NewScheduler(SchedulerConfig{Workers: 2, Depth: 4, FastWorkers: 1, FastDepth: 2, MaxCost: 1000})
+		s := NewScheduler(SchedulerConfig{Workers: 2, Depth: 4})
 		var wg sync.WaitGroup
 		var ran, cancelled atomic.Int64
 		for i := 0; i < 16; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				err := s.Do(context.Background(), Job{
-					Tenant:   string(rune('A' + i%3)),
-					Cost:     float64(i%5) * 10,
-					FastLane: i%2 == 0,
-				}, func(ctx context.Context) {
+				err := s.Do(context.Background(), string(rune('A'+i%3)), func(ctx context.Context) {
 					ran.Add(1)
 					select {
 					case <-ctx.Done():
@@ -270,8 +247,7 @@ func TestSchedulerShutdownStress(t *testing.T) {
 					case <-time.After(time.Duration(i%3) * time.Millisecond):
 					}
 				})
-				if err != nil && !errors.Is(err, ErrDraining) &&
-					!errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrOverCapacity) {
+				if err != nil && !errors.Is(err, ErrDraining) && !errors.Is(err, ErrQueueFull) {
 					t.Errorf("Do returned unexpected error: %v", err)
 				}
 			}(i)
@@ -292,6 +268,28 @@ func TestSchedulerShutdownStress(t *testing.T) {
 		if !s.Draining() {
 			t.Fatal("Draining() false after Shutdown")
 		}
+	}
+}
+
+// TestDrainTrackerRetryAfter: the Retry-After hint is the pending runs over
+// the EWMA completion rate, clamped to [1s, 5m].
+func TestDrainTrackerRetryAfter(t *testing.T) {
+	var d drainTracker
+	// No completions yet: floor applies whatever the backlog.
+	if got := d.retryAfter(1_000_000); got != time.Second {
+		t.Fatalf("no-rate retryAfter = %v, want 1s floor", got)
+	}
+	t0 := time.Unix(1000, 0)
+	d.observe(t0) // seeds rate = 1 run/s
+	d.observe(t0.Add(time.Second))
+	if got := d.retryAfter(5); got < 5*time.Second || got > 30*time.Second {
+		t.Fatalf("retryAfter(5) at ~1 run/s = %v, want a few seconds", got)
+	}
+	if got := d.retryAfter(1); got != time.Second {
+		t.Fatalf("tiny backlog should hit the 1s floor, got %v", got)
+	}
+	if got := d.retryAfter(1_000_000); got != 5*time.Minute {
+		t.Fatalf("huge backlog should hit the 5m ceiling, got %v", got)
 	}
 }
 

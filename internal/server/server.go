@@ -34,10 +34,11 @@ type Config struct {
 	// Beyond it the least recently used idle families are dropped, and
 	// their next request draws its samples again.
 	SampleBytes int64
-	// Workers is the number of concurrent solver runs (default GOMAXPROCS).
+	// Workers bounds how many solver runs execute at once, across every
+	// tenant and graph (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the pending-request FIFO (default 64); beyond it
-	// /v1/topk fails fast with 429.
+	// QueueDepth bounds the runs waiting for a worker (default 64); beyond
+	// it /v1/topk fails fast with 429.
 	QueueDepth int
 	// DefaultTimeout bounds a /v1/topk run that names no timeout (default
 	// 30s); MaxTimeout caps what a request may ask for (default 5m).
@@ -49,29 +50,10 @@ type Config struct {
 	// beyond it decoding fails with a typed 400 instead of buffering an
 	// unbounded payload.
 	MaxBodyBytes int64
-	// MaxCost bounds the total estimated cost (EstimateCost units) queued
-	// plus running; submissions beyond it are shed with 429 + Retry-After.
-	// 0 — the default — disables cost-based admission control.
-	MaxCost float64
-	// FastLaneThreshold routes runs whose estimated cost is at or below it
-	// through a dedicated small-job worker pool, so cheap queries never
-	// wait behind expensive ones. 0 picks the default (1e7, roughly a
-	// few-thousand-node graph at default ε); negative disables the lane.
-	FastLaneThreshold float64
-	// FastLaneWorkers and FastLaneDepth size the fast lane (defaults 2 and
-	// QueueDepth).
-	FastLaneWorkers int
-	FastLaneDepth   int
 	// TenantRPS enforces a per-tenant token-bucket quota, keyed on the
 	// X-Tenant request header, of this many /v1/topk requests per second
-	// (burst TenantBurst, default 2·TenantRPS). 0 — the default — disables
-	// quotas.
-	TenantRPS   float64
-	TenantBurst int
-	// TenantWeights sets per-tenant weighted-round-robin dequeue weights
-	// (default 1 each): a tenant with weight w is dequeued w tasks per
-	// round-robin cycle.
-	TenantWeights map[string]int
+	// (burst 2·TenantRPS, at least 1). 0 — the default — disables quotas.
+	TenantRPS float64
 	// Shards lists shard-worker base URLs; non-empty makes this server a
 	// coordinator. Graphs registered from a .gbcsr path dispatch sample
 	// growth to the workers (which open the same path from shared storage)
@@ -111,18 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.FastLaneThreshold == 0 {
-		c.FastLaneThreshold = 1e7
-	}
-	if c.FastLaneWorkers == 0 {
-		c.FastLaneWorkers = 2
-	}
-	if c.FastLaneThreshold < 0 {
-		c.FastLaneWorkers = 0 // lane disabled: all runs share the normal pool
-	}
-	if c.FastLaneDepth == 0 {
-		c.FastLaneDepth = c.QueueDepth
-	}
 	if c.Metrics == nil {
 		c.Metrics = &obs.Metrics{}
 	}
@@ -150,12 +120,9 @@ func New(cfg Config) *Server {
 		metrics: cfg.Metrics,
 		reg:     NewRegistry(cfg.MaxGraphs, cfg.SampleBytes, cfg.Metrics),
 		sched: NewScheduler(SchedulerConfig{
-			Workers: cfg.Workers, Depth: cfg.QueueDepth,
-			FastWorkers: cfg.FastLaneWorkers, FastDepth: cfg.FastLaneDepth,
-			MaxCost: cfg.MaxCost, Weights: cfg.TenantWeights,
-			Metrics: cfg.Metrics,
+			Workers: cfg.Workers, Depth: cfg.QueueDepth, Metrics: cfg.Metrics,
 		}),
-		tenants: newTenantLimiter(cfg.TenantRPS, cfg.TenantBurst),
+		tenants: newTenantLimiter(cfg.TenantRPS),
 	}
 	if len(cfg.Shards) > 0 {
 		s.cluster = shard.NewCluster(shard.Config{
@@ -606,15 +573,8 @@ type topkResponse struct {
 	// "coalesced" (shared a concurrent identical run).
 	ServedFrom string `json:"servedFrom"`
 	// TimeoutMillis is the effective deadline the run was held to.
-	TimeoutMillis int64 `json:"timeoutMillis"`
-	// Degraded marks a cache-served response the client did not opt into:
-	// the scheduler shed the run and the cached result — computed by an
-	// earlier converged run at DegradedEpsilon ≤ the requested ε on the
-	// same graph version — satisfies the request's error bound without a
-	// fresh solve.
-	Degraded        bool        `json:"degraded,omitempty"`
-	DegradedEpsilon float64     `json:"degradedEpsilon,omitempty"`
-	Result          wire.Result `json:"result"`
+	TimeoutMillis int64       `json:"timeoutMillis"`
+	Result        wire.Result `json:"result"`
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -649,6 +609,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown freshness %q (want any or exact)", req.Freshness), "freshness")
+		return
+	}
+	// The tenant keys the quota's buckets and the scheduler's FIFOs, so it
+	// is held to a graph name's shape rather than any header value.
+	tenant := r.Header.Get("X-Tenant")
+	if tenant == "" {
+		tenant = "default"
+	} else if !nameRE.MatchString(tenant) {
+		writeError(w, http.StatusBadRequest,
+			"X-Tenant must match [A-Za-z0-9._-]{1,64}", "X-Tenant")
 		return
 	}
 	opts := core.Options{
@@ -688,12 +658,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// failed (the chaos test asserts the balance).
 	s.metrics.RequestAdmitted()
 
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = "default"
-	}
-	g := entry.Graph()
-	cost := EstimateCost(g.N(), g.M(), opts)
 	ver := entry.CurrentVersion()
 	fk, mk := familyKeyFor(opts), memoKeyFor(opts, ver)
 
@@ -703,7 +667,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// tenant token, no solve. The version in the key guarantees a patched
 	// graph never answers from a stale result.
 	if req.Freshness != "exact" && !req.Trace {
-		if cached, _, ok := entry.Dominating(fk, mk, effectiveEpsilon(opts)); ok {
+		if cached, ok := entry.Dominating(fk, mk, effectiveEpsilon(opts)); ok {
 			s.metrics.ResultCacheHit()
 			s.metrics.RequestCompleted()
 			writeJSON(w, http.StatusOK, topkResponse{
@@ -716,9 +680,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if ok, wait := s.tenants.allow(tenant, time.Now()); !ok {
-		s.shedOrDegrade(w, entry, fk, mk, opts, timeout, req.Graph, wait,
-			fmt.Sprintf("server: tenant %q over its request quota", tenant),
-			http.StatusTooManyRequests)
+		s.shed(w, http.StatusTooManyRequests,
+			fmt.Sprintf("server: tenant %q over its request quota", tenant), wait)
 		return
 	}
 
@@ -727,19 +690,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	fam := entry.acquireFamily(fk)
 	defer entry.releaseFamily(fam)
 	res, shared := fam.do(runKeyFor(opts, ver), s.metrics, func() flightResult {
-		return s.runTopK(entry, fam, opts, timeout, req.Graph, Job{
-			Tenant: tenant, Cost: cost,
-			FastLane: cost <= s.cfg.FastLaneThreshold,
-		})
+		return s.runTopK(entry, fam, opts, timeout, req.Graph, tenant)
 	})
 	if res.err != nil {
 		switch {
-		case errors.Is(res.err, ErrQueueFull) || errors.Is(res.err, ErrOverCapacity):
-			s.shedOrDegrade(w, entry, fk, mk, opts, timeout, req.Graph,
-				s.sched.RetryAfter(), res.err.Error(), http.StatusTooManyRequests)
+		case errors.Is(res.err, ErrQueueFull):
+			s.shed(w, http.StatusTooManyRequests, res.err.Error(), s.sched.RetryAfter())
 		case errors.Is(res.err, ErrDraining):
-			s.shedOrDegrade(w, entry, fk, mk, opts, timeout, req.Graph,
-				0, res.err.Error(), http.StatusServiceUnavailable)
+			s.shed(w, http.StatusServiceUnavailable, res.err.Error(), s.sched.RetryAfter())
 		default:
 			s.metrics.RequestFailed()
 			writeError(w, http.StatusInternalServerError, res.err.Error(), "")
@@ -779,30 +737,12 @@ func effectiveGamma(opts core.Options) float64 {
 	return opts.Gamma
 }
 
-// shedOrDegrade answers a request the scheduler refused to run. Preference
-// order: a memoized converged result at ε' ≤ the requested ε answers with
-// 200 and "degraded":true — the client gets an answer that satisfies its
-// error bound, just not a freshly computed one. Otherwise the shed
-// surfaces as the given status (429 or 503) with a Retry-After hint.
-// Either way the request counts as shed; a degraded answer additionally
-// counts on the degraded counter.
-func (s *Server) shedOrDegrade(w http.ResponseWriter, entry *Entry, fk familyKey, mk memoKey,
-	opts core.Options, timeout time.Duration, graphName string,
-	retryAfter time.Duration, msg string, status int) {
+// shed answers a request the quota or the scheduler refused to run: the
+// given status (429 or 503) with a Retry-After hint. A shed request never
+// falls back to the memo — a client that asked for "exact" or a trace
+// opted out of memo answers.
+func (s *Server) shed(w http.ResponseWriter, status int, msg string, retryAfter time.Duration) {
 	s.metrics.RequestShed()
-	if cached, eps, ok := entry.Dominating(fk, mk, effectiveEpsilon(opts)); ok {
-		s.metrics.RequestDegraded()
-		writeJSON(w, http.StatusOK, topkResponse{
-			Graph: graphName, GraphVersion: mk.version, ServedFrom: "cache",
-			TimeoutMillis: timeout.Milliseconds(),
-			Degraded:      true, DegradedEpsilon: eps,
-			Result: cached,
-		})
-		return
-	}
-	if retryAfter <= 0 {
-		retryAfter = s.sched.RetryAfter()
-	}
 	w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retryAfter.Seconds()))))
 	writeError(w, status, msg, "")
 }
@@ -813,15 +753,14 @@ func (s *Server) shedOrDegrade(w http.ResponseWriter, entry *Entry, fk familyKey
 // client: a waiter disconnecting must not cancel a run others share.
 // Deadlines cover queue wait plus solve time — admission control should
 // surface as 429s and partial results, not unbounded latency. A converged
-// run enters the family's memo, which also backs graceful degradation
-// under overload.
-func (s *Server) runTopK(entry *Entry, fam *family, opts core.Options, timeout time.Duration, graphName string, job Job) flightResult {
+// run enters the family's memo.
+func (s *Server) runTopK(entry *Entry, fam *family, opts core.Options, timeout time.Duration, graphName, tenant string) flightResult {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	var res *core.Result
 	var solvedVer int
 	var solveErr error
-	if err := s.sched.Do(ctx, job, func(runCtx context.Context) {
+	if err := s.sched.Do(ctx, tenant, func(runCtx context.Context) {
 		res, solvedVer, solveErr = entry.Solve(runCtx, opts, s.metrics)
 	}); err != nil {
 		return flightResult{err: err}
@@ -899,12 +838,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness: should a load balancer route new work here?
-// Not ready while draining (admissions would 503) or while the normal
-// lane's queue is at the shed threshold (admissions would 429) — in either
-// state a new request is better sent to a sibling.
+// Not ready while draining (admissions would 503) or while the run queue
+// is at the shed threshold (admissions would 429) — in either state a new
+// request is better sent to a sibling.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ready", http.StatusOK
-	queued, depth := s.sched.QueuedNormal()
+	queued, depth := s.sched.Queued()
 	switch {
 	case s.sched.Draining():
 		status, code = "draining", http.StatusServiceUnavailable

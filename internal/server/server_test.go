@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -392,21 +393,14 @@ func TestHealthzAndStats(t *testing.T) {
 	if err := json.Unmarshal(body, &hit); err != nil {
 		t.Fatal(err)
 	}
-	if hit.ServedFrom != "cache" || hit.Degraded {
-		t.Fatalf("draining cache answer: servedFrom=%q degraded=%v, want cache/false", hit.ServedFrom, hit.Degraded)
+	if hit.ServedFrom != "cache" {
+		t.Fatalf("draining cache answer: servedFrom=%q, want cache", hit.ServedFrom)
 	}
-	// Demanding a fresh solve hits the draining scheduler; the shed falls
-	// back to the ε-dominance cache: 200 with degraded:true.
-	status, body = post(t, ts.URL+"/v1/topk", map[string]any{"graph": "g", "k": 3, "freshness": "exact"})
-	if status != http.StatusOK {
-		t.Fatalf("exact topk while draining with a cached dominator: %d %s", status, body)
-	}
-	var deg topkResponse
-	if err := json.Unmarshal(body, &deg); err != nil {
-		t.Fatal(err)
-	}
-	if !deg.Degraded {
-		t.Fatalf("draining answer must be marked degraded: %s", body)
+	// Demanding a fresh solve hits the draining scheduler and sheds with
+	// 503, although the memo holds a dominating answer: an exact request
+	// is never answered from the memo.
+	if status, body := post(t, ts.URL+"/v1/topk", map[string]any{"graph": "g", "k": 3, "freshness": "exact"}); status != http.StatusServiceUnavailable {
+		t.Fatalf("exact topk while draining with a cached dominator: %d %s, want 503", status, body)
 	}
 	// A request with no cached dominator (fresh seed) sheds hard with 503.
 	if status, _ := post(t, ts.URL+"/v1/topk", map[string]any{"graph": "g", "k": 3, "seed": 99}); status != http.StatusServiceUnavailable {
@@ -414,10 +408,10 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
-// TestReadyzStates: ready when idle, saturated (503) while the normal
-// lane's queue is full, ready again once it drains.
+// TestReadyzStates: ready when idle, saturated (503) while the run queue
+// is full, ready again once it drains.
 func TestReadyzStates(t *testing.T) {
-	_, ts, m := newTestServer(t, Config{Workers: 1, QueueDepth: 1, FastLaneThreshold: -1})
+	_, ts, m := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	addGeneratedGraph(t, ts.URL, "g", 4000)
 
 	getReady := func() (int, string) {
@@ -463,12 +457,15 @@ func TestReadyzStates(t *testing.T) {
 	})
 }
 
-// TestTopKDegraded pins graceful degradation: a converged run populates the
-// ε-dominance cache, and once the scheduler sheds (here: tenant quota with
-// burst 1), an identical request is answered from the cache with 200 and
-// degraded:true instead of a 429 — and the overload counters balance.
-func TestTopKDegraded(t *testing.T) {
-	_, ts, m := newTestServer(t, Config{TenantRPS: 0.001, TenantBurst: 1})
+// TestTopKShedNeverAnswersFromMemo pins the memo contract under overload:
+// with a converged run memoized and the tenant's one-request burst spent,
+// an "exact" repeat and a trace repeat each shed with 429 + Retry-After —
+// both opted out of memo answers, so neither gets one — while a
+// default-freshness repeat still answers from the memo, which it reaches
+// before the quota. The overload counters balance: 4 admitted = 2
+// completed + 2 shed + 0 failed.
+func TestTopKShedNeverAnswersFromMemo(t *testing.T) {
+	_, ts, m := newTestServer(t, Config{TenantRPS: 0.001})
 	addGeneratedGraph(t, ts.URL, "g", 600)
 
 	req := map[string]any{"graph": "g", "k": 5, "seed": 7}
@@ -480,63 +477,56 @@ func TestTopKDegraded(t *testing.T) {
 	if err := json.Unmarshal(body, &warm); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Degraded || !warm.Result.Converged {
+	if warm.ServedFrom != "solve" || !warm.Result.Converged {
 		t.Fatalf("warmup must be a fresh converged run: %+v", warm)
 	}
 
-	// The tenant's single burst token is spent: an exact-freshness repeat
-	// (the default would answer from the cache before the quota check) is
-	// shed, but the cached converged result at the same ε dominates it.
-	req["freshness"] = "exact"
-	status, body = post(t, ts.URL+"/v1/topk", req)
-	if status != http.StatusOK {
-		t.Fatalf("degraded topk: %d %s", status, body)
-	}
-	var deg topkResponse
-	if err := json.Unmarshal(body, &deg); err != nil {
-		t.Fatal(err)
-	}
-	if !deg.Degraded || deg.DegradedEpsilon != 0.3 {
-		t.Fatalf("want degraded:true at cached eps 0.3, got %+v", deg)
-	}
-	aj, _ := json.Marshal(warm.Result.Group)
-	bj, _ := json.Marshal(deg.Result.Group)
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("degraded answer differs from the cached run:\n  %s\n  %s", aj, bj)
-	}
-	if len(deg.Result.Trace) != 0 {
-		t.Fatalf("degraded answer must not carry a trace: %+v", deg.Result)
+	for _, repeat := range []map[string]any{
+		{"graph": "g", "k": 5, "seed": 7, "freshness": "exact"},
+		{"graph": "g", "k": 5, "seed": 7, "trace": true},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/topk", "application/json", jsonBody(t, repeat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%v over quota: %d, want 429", repeat, resp.StatusCode)
+		}
+		if err != nil || e.Error == "" {
+			t.Fatalf("%v: 429 body is not a typed error (%v)", repeat, err)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%v: 429 must carry a Retry-After header", repeat)
+		}
 	}
 
-	// A tighter-ε request is NOT dominated by the 0.3 cache entry: it sheds
-	// with a plain 429 + Retry-After.
-	tight := map[string]any{"graph": "g", "k": 5, "seed": 7, "epsilon": 0.1}
-	resp, err := http.Post(ts.URL+"/v1/topk", "application/json", jsonBody(t, tight))
-	if err != nil {
+	status, body = post(t, ts.URL+"/v1/topk", req)
+	if status != http.StatusOK {
+		t.Fatalf("default repeat: %d %s", status, body)
+	}
+	var hit topkResponse
+	if err := json.Unmarshal(body, &hit); err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("tighter-eps shed: %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 must carry a Retry-After header")
+	aj, _ := json.Marshal(warm.Result.Group)
+	bj, _ := json.Marshal(hit.Result.Group)
+	if hit.ServedFrom != "cache" || !bytes.Equal(aj, bj) {
+		t.Fatalf("default repeat: servedFrom %q group %s, want cache and %s", hit.ServedFrom, bj, aj)
 	}
 
 	st := m.Snapshot()
-	if st.RequestsAdmitted != st.RequestsCompleted+st.RequestsShed+st.RequestsFailed {
-		t.Fatalf("overload accounting broken: %+v", st)
-	}
-	if st.RequestsShed != 2 || st.RequestsDegraded != 1 || st.RequestsCompleted != 1 {
-		t.Fatalf("want completed=1 shed=2 degraded=1, got %+v", st)
+	if st.RequestsAdmitted != 4 || st.RequestsCompleted != 2 || st.RequestsShed != 2 || st.RequestsFailed != 0 {
+		t.Fatalf("want admitted=4 completed=2 shed=2 failed=0, got %+v", st)
 	}
 }
 
 // TestTenantQuotaIsolation: tenant quotas are per-tenant — one tenant
 // exhausting its bucket must not affect another.
 func TestTenantQuotaIsolation(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{TenantRPS: 0.001, TenantBurst: 1})
+	_, ts, _ := newTestServer(t, Config{TenantRPS: 0.001})
 	addGeneratedGraph(t, ts.URL, "g", 300)
 
 	doAs := func(tenant string, seed int) int {
@@ -565,6 +555,37 @@ func TestTenantQuotaIsolation(t *testing.T) {
 	}
 	if got := doAs("bob", 3); got != http.StatusOK {
 		t.Fatalf("bob must not share alice's bucket: %d", got)
+	}
+}
+
+// TestTopKTenantHeaderValidated: X-Tenant keys the quota's buckets and the
+// scheduler's FIFOs, so it must look like a graph name. Anything else is a
+// typed 400 naming the header, refused before the request is admitted.
+func TestTopKTenantHeaderValidated(t *testing.T) {
+	_, ts, m := newTestServer(t, Config{TenantRPS: 1})
+	addGeneratedGraph(t, ts.URL, "g", 300)
+
+	for _, tenant := range []string{strings.Repeat("t", 65), "a b"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/topk",
+			jsonBody(t, map[string]any{"graph": "g", "k": 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Tenant", tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || e.Field != "X-Tenant" {
+			t.Fatalf("tenant %q: %d %+v (%v), want a typed 400 on X-Tenant", tenant, resp.StatusCode, e, err)
+		}
+	}
+	st := m.Snapshot()
+	if st.RequestsAdmitted != 0 || st.RequestsCompleted != 0 || st.RequestsShed != 0 || st.RequestsFailed != 0 {
+		t.Fatalf("refused tenants reached the request counters: %+v", st)
 	}
 }
 

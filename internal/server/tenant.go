@@ -27,16 +27,10 @@ type tokenBucket struct {
 // briefly refills every tenant's burst.
 const maxTenantBuckets = 10000
 
-func newTenantLimiter(rate float64, burst int) *tenantLimiter {
-	b := float64(burst)
-	if b < 1 {
-		// Default burst: 2 seconds of quota, at least one request.
-		b = rate * 2
-		if b < 1 {
-			b = 1
-		}
-	}
-	return &tenantLimiter{rate: rate, burst: b, buckets: make(map[string]*tokenBucket)}
+// newTenantLimiter allows rate requests per second per tenant, with a
+// burst of 2 seconds of quota, at least one request.
+func newTenantLimiter(rate float64) *tenantLimiter {
+	return &tenantLimiter{rate: rate, burst: max(2*rate, 1), buckets: make(map[string]*tokenBucket)}
 }
 
 // allow spends one token from tenant's bucket. When the bucket is empty it

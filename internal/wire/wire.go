@@ -7,7 +7,7 @@
 // shell pipeline and in a typed client.
 //
 // The server's response envelope around a Result (graph name,
-// graphVersion, servedFrom, degradation flags) is internal/server's to
+// graphVersion, servedFrom, timeoutMillis) is internal/server's to
 // evolve; only the "result" object inside it is this package's frozen
 // shape. Cached and coalesced responses reuse a previous run's Result
 // verbatim, which is sound exactly because this encoding carries no

@@ -21,12 +21,14 @@ test:
 # arena-commit path (sampling's TestParallelGrowGreedyRegrowCycles and
 # friends drive multi-worker growth into the flat coverage engine). The
 # sample-family concurrency tests, the run-queue tests (per-tenant FIFOs,
-# round robin, tenant map drained, shutdown storms) and the lane-budget
-# tests (tokens granted and returned per chunk) then run ten more times.
+# round robin, tenant map drained, shutdown storms), the lane-budget
+# tests (tokens granted and returned per draw) and the repair tests
+# (Repair re-draws on lanes; the timing guard runs once, above) then run
+# ten more times.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestFamily|TestFlightGroupCoalesces|TestTopKLaneBudget|TestScheduler' ./internal/server
-	$(GO) test -race -count=10 -run 'TestLaneBudget|TestDroppedSetsLeaveNoGoroutines' ./internal/sampling
+	$(GO) test -race -count=10 -run 'TestLaneBudget|TestDroppedSetsLeaveNoGoroutines|TestRepair' -skip TestRepairSpeedupGuard ./internal/sampling
 
 # Chaos pass: the fault-injection build (-tags faultinject) with every
 # injection point armed, hammering a live server under -race. The default

@@ -3,6 +3,7 @@ package gbc
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,11 +13,20 @@ import (
 	"gbc/internal/xrand"
 )
 
+// TestSolveDeadlinePartialResult stops a solve by its MaxDuration and wants
+// the best-so-far group. The stop is driven from inside the run, so it
+// does not depend on host speed: the first iteration's observer sleeps
+// well past the deadline (twice it, so the deadline's timer has surely
+// fired), and AdaAlg cannot converge before its second iteration, whose
+// growth then finds the deadline passed.
 func TestSolveDeadlinePartialResult(t *testing.T) {
 	g := BarabasiAlbert(15000, 3, 42)
 	const deadline = 100 * time.Millisecond
+	sleepOnce := sync.OnceFunc(func() { time.Sleep(2 * deadline) })
+	observer := ObserverFuncs{Iteration: func(IterationEvent) { sleepOnce() }}
 	start := time.Now()
-	res, err := Solve(context.Background(), g, Options{K: 10, Epsilon: 0.08, Seed: 1, MaxDuration: deadline})
+	res, err := Solve(context.Background(), g, Options{K: 10, Epsilon: 0.08, Seed: 1,
+		MaxDuration: deadline, Observer: observer})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -32,14 +42,15 @@ func TestSolveDeadlinePartialResult(t *testing.T) {
 	}
 }
 
+// TestSolveCancellation cancels a solve from its first iteration's
+// observer: AdaAlg cannot converge before its second iteration, so the
+// run must stop cancelled with a best-so-far group, on any host.
 func TestSolveCancellation(t *testing.T) {
 	g := BarabasiAlbert(15000, 3, 42)
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(40 * time.Millisecond)
-		cancel()
-	}()
-	res, err := Solve(ctx, g, Options{K: 5, Epsilon: 0.08, Seed: 2})
+	defer cancel()
+	observer := ObserverFuncs{Iteration: func(IterationEvent) { cancel() }}
+	res, err := Solve(ctx, g, Options{K: 5, Epsilon: 0.08, Seed: 2, Observer: observer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +75,7 @@ func (b *apiBoomSampler) Sample(s, t int32, r *xrand.Rand) bfs.Sample {
 
 func TestSolveWorkerPanicSurfacesAsError(t *testing.T) {
 	hook := func(g *graph.Graph, r *xrand.Rand) *sampling.Set {
-		return sampling.NewFactorySet(g, func() sampling.PairSampler {
+		return sampling.NewFactorySet(g, func(*graph.Graph) sampling.PairSampler {
 			return &apiBoomSampler{}
 		}, r)
 	}

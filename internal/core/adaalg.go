@@ -21,12 +21,10 @@ func newSamplerSet(g *graph.Graph, opts Options, r *xrand.Rand, label string) *s
 	switch {
 	case opts.SamplerSet != nil:
 		set = opts.SamplerSet(g, r)
-	case g.Weighted():
-		set = sampling.NewWeightedSet(g, r)
-	case opts.UseForwardSampler:
+	case opts.UseForwardSampler && !g.Weighted():
 		set = sampling.NewForwardSet(g, r)
 	default:
-		set = sampling.NewBidirectionalSet(g, r)
+		set = sampling.NewSetFor(g, r)
 	}
 	set.Workers = opts.Workers
 	set.Label = label

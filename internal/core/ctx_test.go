@@ -238,7 +238,7 @@ func (b *boomSampler) Sample(s, t int32, r *xrand.Rand) bfs.Sample {
 func TestWorkerPanicSurfacesAsError(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 2, xrand.New(8))
 	hook := func(g *graph.Graph, r *xrand.Rand) *sampling.Set {
-		return sampling.NewFactorySet(g, func() sampling.PairSampler {
+		return sampling.NewFactorySet(g, func(*graph.Graph) sampling.PairSampler {
 			return &boomSampler{fuse: 50}
 		}, r)
 	}

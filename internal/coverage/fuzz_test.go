@@ -7,9 +7,9 @@ import (
 	"gbc/internal/xrand"
 )
 
-// Op codes of FuzzInstanceOps: the low three bits of an op byte pick the
-// step; opDefer (bit 3) skips that step's query check, so an uncommitted
-// tail carries into the next step.
+// Op codes of FuzzInstanceOps: the low four bits of an op byte pick the
+// step (values past opAddRange only check); opDefer (bit 4) skips that
+// step's query check, so an uncommitted tail carries into the next step.
 const (
 	opAdd = iota
 	opAddArenas
@@ -19,7 +19,8 @@ const (
 	opCommit
 	opGrow
 	opQuery
-	opDefer = 8
+	opAddRange
+	opDefer = 16
 )
 
 // opStream hands out the fuzz bytes; an exhausted stream reads zeros.
@@ -47,7 +48,9 @@ func (s *opStream) path(n int) []int32 {
 }
 
 // FuzzInstanceOps drives an Instance of at most 40 nodes through byte-chosen
-// interleavings of Add, AddArenas, Extend, Reset, Splice and Commit. After
+// interleavings of Add, AddArenas, a Grow and AddRange of a sub-range of
+// an arena (copied through PathArena.AppendRange first), Extend, Reset,
+// Splice and Commit. After
 // every step it checks the stored paths, every row of the index, its
 // bounded view at Len, the row layout and the greedy candidate order
 // against a model kept as plain path lists, then (unless the
@@ -76,6 +79,13 @@ func FuzzInstanceOps(f *testing.F) {
 	// Len then trims the ones beyond Len.
 	f.Add([]byte{16, opGrow, 11, 30, opGrow | opDefer, 12, 20, opReset, opExtend, 35,
 		opAddArenas, 0, 2, 3, 1, 2, 3, 0, opQuery})
+	// An AddArenas with nothing to add after a Reset still drops the stored
+	// paths: the fuzzer found a rewrite of AddArenas that skipped that.
+	f.Add([]byte{9, opGrow, 48, 48, opReset, opAddArenas | opDefer})
+	// Ranged appends past a partial Extend: the middle of an arena with a
+	// null sample, then a range that is empty.
+	f.Add([]byte{12, opGrow, 5, 20, opReset, opExtend, 7, opAddRange, 5, 1, 3,
+		2, 4, 5, 0, 3, 1, 2, 3, 1, 6, opAddRange, 2, 1, 1, 1, 2, 2, 7, 8, opQuery})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			return
@@ -91,7 +101,7 @@ func FuzzInstanceOps(f *testing.F) {
 		}
 		for step := 0; len(s) > 0; step++ {
 			op := s.next()
-			switch op & 7 {
+			switch op & 15 {
 			case opAdd:
 				p := s.path(n)
 				c.Add(p)
@@ -162,6 +172,39 @@ func FuzzInstanceOps(f *testing.F) {
 				}
 				if o, nw := c.Splice(ids, patch); o != wantOld || nw != wantNew {
 					t.Fatalf("step %d: Splice nulls %d→%d, want %d→%d", step, o, nw, wantOld, wantNew)
+				}
+			case opAddRange:
+				src := &PathArena{}
+				src.Reset()
+				var paths [][]int32
+				for j := s.next() % 9; j > 0; j-- {
+					p := s.path(n)
+					src.Nodes = append(src.Nodes, p...)
+					src.EndPath()
+					src.Obs = append(src.Obs, int32(len(p)), 1)
+					paths = append(paths, p)
+				}
+				from := int(s.next()) % (len(paths) + 1)
+				to := from + int(s.next())%(len(paths)-from+1)
+				a := &PathArena{}
+				a.AppendRange(src, from, to)
+				if a.Len() != to-from || !slices.Equal(a.Obs, src.Obs[2*from:2*to]) {
+					t.Fatalf("step %d: AppendRange(%d, %d) holds %d paths, bounds %v", step, from, to, a.Len(), a.Obs)
+				}
+				stored = stored[:length]
+				wantNulls := 0
+				for k, p := range paths[from:to] {
+					if got := a.Nodes[a.Offsets[k]:a.Offsets[k+1]]; !slices.Equal(got, p) {
+						t.Fatalf("step %d: AppendRange path %d is %v, want %v", step, k, got, p)
+					}
+					add(p)
+					if len(p) == 0 {
+						wantNulls++
+					}
+				}
+				c.Grow(a.Len(), len(a.Nodes))
+				if nulls := c.AddRange(a, 0, a.Len()); nulls != wantNulls {
+					t.Fatalf("step %d: AddRange counted %d nulls, want %d", step, nulls, wantNulls)
 				}
 			case opCommit:
 				c.Commit()

@@ -69,9 +69,9 @@ type Metrics struct {
 	registryFileLoads atomic.Int64 // registry graphs loaded from the "file" source
 
 	// Parallel-execution counter (PR 8): the time sampling lanes spend not
-	// sampling — waiting at the chunk barrier for a straggling sibling.
-	samplerIdleNanos atomic.Int64 // cumulative lane wait at chunk barriers
-	helperLanes      atomic.Int64 // extra lanes a lane budget granted, summed over chunks
+	// sampling — waiting at the end of a draw for its last block.
+	samplerIdleNanos atomic.Int64 // cumulative lane wait at draw ends
+	helperLanes      atomic.Int64 // extra lanes a lane budget granted, summed over draws
 
 	// Dynamic-graph counters (PR 9): graph versions created by PATCH,
 	// incremental sample repairs, and results served straight from the
@@ -120,7 +120,7 @@ func (m *Metrics) RegistryFileLoad() {
 }
 
 // AddSamplerIdle accumulates lane time spent waiting instead of drawing:
-// the chunk barrier wait of finished lanes idling behind the straggler.
+// the wait of finished lanes for a draw's last block.
 func (m *Metrics) AddSamplerIdle(nanos int64) {
 	if m == nil {
 		return
@@ -128,8 +128,8 @@ func (m *Metrics) AddSamplerIdle(nanos int64) {
 	m.samplerIdleNanos.Add(nanos)
 }
 
-// AddHelperLanes counts the extra lanes a lane budget granted one chunk
-// beyond the growing set's own.
+// AddHelperLanes counts the extra lanes a lane budget granted one draw —
+// a growth chunk or a repair's re-draw — beyond the drawing set's own.
 func (m *Metrics) AddHelperLanes(n int) {
 	if m == nil {
 		return

@@ -3,6 +3,7 @@ package sampling
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -198,7 +199,9 @@ func (c *countingSampler) Sample(s, t int32, r *xrand.Rand) bfs.Sample {
 // every later solve's parallelism. However growth ends — cancelled in the
 // middle of a chunk, a lane panic, an observer panic — the budget is back
 // to 0 lanes in use, the set holds only lane 0, no goroutine it started is
-// left, and the set grows on cleanly afterwards.
+// left, and the set grows on cleanly afterwards. A Repair, which re-draws
+// on lanes the budget grants, hands them all back too, whether its re-draw
+// succeeds or panics.
 func TestLaneBudgetTokensAlwaysReturn(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 3, xrand.New(71))
 	const target = 3 * GrowChunk
@@ -268,13 +271,51 @@ func TestLaneBudgetTokensAlwaysReturn(t *testing.T) {
 			}
 		})
 	}
+
+	delta := randomRepairDelta(g, 3, xrand.New(73))
+	ng, err := graph.ApplyDelta(g, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, panics := range []bool{false, true} {
+		t.Run(fmt.Sprintf("repair panics=%v", panics), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			b := NewLaneBudget(4)
+			s := NewFactorySet(g, func(h *graph.Graph) PairSampler {
+				if panics && h == ng {
+					return &panicAfter{n: 1}
+				}
+				return bfs.NewBidirectional(h)
+			}, xrand.New(72))
+			s.Budget = b
+			s.GrowTo(target)
+			s.Metrics = &obs.Metrics{}
+			st, err := s.Repair(ng, delta)
+			var pe *PanicError
+			if panics != errors.As(err, &pe) || !panics && err != nil {
+				t.Fatalf("Repair ended in %v (%T)", err, err)
+			}
+			if st.Regenerated <= drawBlock {
+				t.Fatalf("repair redrew %d samples, too few for a second lane", st.Regenerated)
+			}
+			if !panics && s.Metrics.Snapshot().HelperLanes == 0 {
+				t.Fatal("a free budget granted the repair no lanes")
+			}
+			if b.InUse() != 0 || len(s.lanes) != 1 {
+				t.Fatalf("after Repair: %d lanes in use, set holds %d lanes", b.InUse(), len(s.lanes))
+			}
+			if n := settledGoroutines(baseline); n > baseline {
+				t.Fatalf("%d goroutines after Repair, %d before", n, baseline)
+			}
+		})
+	}
 }
 
 // countingSet is a bidirectional set (seed 72) whose lanes share one draw
 // counter and run hook before each draw.
 func countingSet(g *graph.Graph, hook func(n int64)) *Set {
 	var drawn atomic.Int64
-	return NewFactorySet(g, func() PairSampler {
+	return NewFactorySet(g, func(g *graph.Graph) PairSampler {
 		return &countingSampler{inner: bfs.NewBidirectional(g), drawn: &drawn, hook: hook}
 	}, xrand.New(72))
 }

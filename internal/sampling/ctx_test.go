@@ -8,6 +8,7 @@ import (
 
 	"gbc/internal/bfs"
 	"gbc/internal/gen"
+	"gbc/internal/graph"
 	"gbc/internal/xrand"
 )
 
@@ -111,7 +112,7 @@ func (p *panicAfter) Sample(s, t int32, r *xrand.Rand) bfs.Sample {
 
 func TestGrowToCtxRecoversWorkerPanic(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 2, xrand.New(6))
-	s := NewFactorySet(g, func() PairSampler { return &panicAfter{n: 10} }, xrand.New(7))
+	s := NewFactorySet(g, func(*graph.Graph) PairSampler { return &panicAfter{n: 10} }, xrand.New(7))
 	s.Workers = 4
 	err := s.GrowToCtx(context.Background(), 10000)
 	var pe *PanicError
@@ -134,7 +135,7 @@ func TestGrowToCtxRecoversWorkerPanic(t *testing.T) {
 // the calling goroutine (instead of crashing the process from a worker).
 func TestGrowToRethrowsWorkerPanic(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 2, xrand.New(8))
-	s := NewFactorySet(g, func() PairSampler { return &panicAfter{n: 10} }, xrand.New(9))
+	s := NewFactorySet(g, func(*graph.Graph) PairSampler { return &panicAfter{n: 10} }, xrand.New(9))
 	s.Workers = 2
 	defer func() {
 		v := recover()

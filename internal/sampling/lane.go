@@ -3,11 +3,11 @@
 // A lane owns everything one goroutine needs to draw samples with zero
 // steady-state heap allocations: a sampler (O(n) workspace), one reusable
 // RNG value reseeded per sample index, and a flat path arena the sampled
-// nodes are appended into. The Set keeps its lanes between growths — a set
-// drawing under a LaneBudget, which shares lanes between sets, keeps only
-// lane 0 — and goroutines do not outlive a chunk. Each chunk draws lane 0
-// on the calling goroutine and lanes 1..W-1 on goroutines started for that
-// chunk and joined before it commits (see Set.growLocal).
+// nodes are appended into. Every draw of a Set — a growth chunk or a
+// Repair's re-draw — runs on its lanes (see Set.draw). The Set keeps its
+// lanes between draws — a set drawing under a LaneBudget keeps only lane
+// 0 — and goroutines do not outlive a draw: lane 0 draws on the calling
+// goroutine and lanes 1..W-1 on goroutines joined before it commits.
 package sampling
 
 import (
@@ -18,7 +18,6 @@ import (
 	"gbc/internal/bfs"
 	"gbc/internal/coverage"
 	"gbc/internal/faultinject"
-	"gbc/internal/obs"
 	"gbc/internal/xrand"
 )
 
@@ -30,8 +29,7 @@ type PathAppender interface {
 	AppendSample(dst []int32, s, t int32, r *xrand.Rand) (bfs.Sample, []int32)
 }
 
-// drawState is the reusable sampling state of a lane, a repair patch or a
-// shard Drawer.
+// drawState is the reusable sampling state of a lane or a shard Drawer.
 type drawState struct {
 	n            int // node count, for the pair draw
 	seed0, seed1 uint64
@@ -88,16 +86,13 @@ func (d *drawState) drawInto(arena *coverage.PathArena, i int) {
 	arena.Obs = append(arena.Obs, smp.ObsF, smp.ObsB)
 }
 
-// draw is drawInto targeting the state's own arena.
-func (d *drawState) draw(i int) { d.drawInto(&d.arena, i) }
-
 // LaneBudget is a pool of drawing-lane tokens shared by every Set that
 // holds it — a server sizes one at GOMAXPROCS so concurrent solves split
-// the cores between them. At each chunk a set counts its own lane, which
-// it always gets, and claims one more token only while any is free; it
-// never waits for one. Lanes granted for a chunk return when the chunk
-// joins, so the lane count may change from chunk to chunk. Sample content
-// is index-pure and lane blocks merge in index order, so it never moves an
+// the cores between them. At each draw a set counts its own lane, which it
+// always gets, and claims one more token only while any is free; it never
+// waits for one. Lanes granted for a draw return when the draw joins, so
+// the lane count may change from draw to draw. Sample content is
+// index-pure and blocks merge in index order, so it never moves an
 // answer. All methods are safe for concurrent use.
 type LaneBudget struct {
 	size  int64
@@ -138,52 +133,88 @@ func (b *LaneBudget) release(lanes int) {
 	}
 }
 
-// lane is one worker's draw state plus what its latest share of a chunk
-// reported: start and end times (monotonic-clock readings that feed EWMA
-// share sizing and the samplerIdleNanos barrier metric), any recovered
-// panic, and the smoothed draw cost.
-type lane struct {
-	drawState
-	start, done time.Time
-	pe          *PanicError
-	cost        float64 // EWMA of ns/sample, 0 = no history yet
+// drawBlock is how many consecutive positions of a draw a lane claims at
+// a time: small enough that a GrowChunk splits into 64 blocks and lanes
+// finish within about one block of each other, large enough that one
+// atomic add and one ranged append per block are noise beside its draws.
+const drawBlock = 64
+
+// drawList is the sample indices of one draw by position k: lo+k for
+// growth, or ids[k] for Repair (n = len(ids)).
+type drawList struct {
+	lo, n int
+	ids   []int
 }
 
-// run draws indices [lo, hi) into the lane's arena, reset first so a chunk
-// aborted earlier leaves nothing behind. It checks stop and done before
-// every sample; a closed done raises stop for the sibling lanes. A panic is
-// recovered into l.pe and also raises stop.
-func (l *lane) run(lo, hi int, done <-chan struct{}, stop *atomic.Bool, m *obs.Metrics) {
-	m.WorkerBusy(1)
-	l.start, l.pe = time.Now(), nil
+// block records where one claimed block of a draw landed: paths
+// [from, to) of lane's arena.
+type block struct{ lane, from, to int32 }
+
+// lane is one worker's draw state plus what its part of the latest draw
+// reported: when it finished (a monotonic-clock reading for the
+// samplerIdleNanos barrier metric) and any recovered panic.
+type lane struct {
+	drawState
+	done time.Time
+	pe   *PanicError
+}
+
+// drawLane is lane w's part of a draw: it resets the lane's arena, then
+// claims blocks, records each in s.blocks and draws it, until list is
+// drawn. It checks stop and done before every sample; a closed done raises
+// stop for the sibling lanes. A panic is recovered into the lane's pe and
+// also raises stop. Lanes other than lane 0 run on their own goroutines
+// and mark s.wg done when they end.
+func (s *Set) drawLane(w int, list drawList, done <-chan struct{}) {
+	l := s.lanes[w]
+	s.Metrics.WorkerBusy(1)
+	l.pe = nil
 	defer func() {
 		if v := recover(); v != nil {
-			stop.Store(true)
+			s.stop.Store(true)
 			l.pe = &PanicError{Value: v, Stack: debug.Stack()}
 		}
 		l.done = time.Now()
-		m.WorkerBusy(-1)
+		s.Metrics.WorkerBusy(-1)
+		if w > 0 {
+			s.wg.Done()
+		}
 	}()
 	if faultinject.Enabled {
 		// Chaos injection points, compiled out of the default build: a
-		// straggler lane (the fault sleeps) and a mid-chunk panic
-		// (recovered above, aborting the chunk for the sibling lanes).
+		// straggler lane (the fault sleeps) and a mid-draw panic
+		// (recovered above, aborting the draw for the sibling lanes).
 		faultinject.Fire(faultinject.SamplingChunkSlow)
 		if err := faultinject.Fire(faultinject.SamplingChunkPanic); err != nil {
 			panic(err)
 		}
 	}
+	// Room for the whole draw, however many blocks this lane claims.
 	l.arena.Reset()
-	for i := lo; i < hi; i++ {
-		if stop.Load() {
+	l.arena.Offsets = coverage.Reserve(l.arena.Offsets, list.n)
+	l.arena.Obs = coverage.Reserve(l.arena.Obs, 2*list.n)
+	for {
+		lo := int(s.cursor.Add(1)-1) * drawBlock
+		if lo >= list.n {
 			return
 		}
-		select {
-		case <-done:
-			stop.Store(true)
-			return
-		default:
+		hi, first := min(lo+drawBlock, list.n), l.arena.Len()
+		s.blocks[lo/drawBlock] = block{lane: int32(w), from: int32(first), to: int32(first + hi - lo)}
+		for k := lo; k < hi; k++ {
+			if s.stop.Load() {
+				return
+			}
+			select {
+			case <-done:
+				s.stop.Store(true)
+				return
+			default:
+			}
+			i := list.lo + k
+			if list.ids != nil {
+				i = list.ids[k]
+			}
+			l.drawInto(&l.arena, i)
 		}
-		l.draw(i)
 	}
 }

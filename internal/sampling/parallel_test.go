@@ -132,21 +132,6 @@ func TestParallelWeightedSet(t *testing.T) {
 	}
 }
 
-func TestCustomSamplerIgnoresWorkers(t *testing.T) {
-	// A Set over a caller-supplied sampler has no factory: Workers > 1
-	// must silently stay sequential rather than race on the shared
-	// workspace.
-	g := gen.BarabasiAlbert(200, 2, xrand.New(104))
-	seq := NewForwardSet(g, xrand.New(13))
-	seq.GrowTo(400)
-	custom := NewSet(g, seq.lanes[0].sampler, xrand.New(13))
-	custom.Workers = 8
-	custom.GrowTo(400)
-	if custom.Len() != 400 {
-		t.Fatalf("Len = %d", custom.Len())
-	}
-}
-
 func TestCoreWorkersOptionDeterministic(t *testing.T) {
 	// End-to-end: the Workers option must not change any result.
 	g := gen.BarabasiAlbert(300, 3, xrand.New(105))

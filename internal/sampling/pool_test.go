@@ -9,6 +9,7 @@ import (
 
 	"gbc/internal/bfs"
 	"gbc/internal/gen"
+	"gbc/internal/graph"
 	"gbc/internal/obs"
 	"gbc/internal/xrand"
 )
@@ -66,7 +67,7 @@ func (f *faultyOnce) Sample(s, t int32, r *xrand.Rand) bfs.Sample {
 // independent of the aborted attempt).
 func TestPanickedPoolStaysReusable(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, xrand.New(23))
-	s := NewFactorySet(g, func() PairSampler {
+	s := NewFactorySet(g, func(g *graph.Graph) PairSampler {
 		return &faultyOnce{inner: bfs.NewBidirectional(g)}
 	}, xrand.New(24))
 	s.Workers = 4

@@ -25,22 +25,24 @@
 // forward distances), distFrom[v] = min hops touched→v — then re-derives
 // each sample's (s, t) pair from its RNG stream and flags index i iff
 // distTo[s] < ObsF or distFrom[t] < ObsB. Flagged indices are re-drawn on
-// the patched graph through the same per-index streams and spliced in.
+// the patched graph through the same per-index streams, on the set's lanes
+// like a growth chunk, and spliced in.
 package sampling
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"gbc/internal/coverage"
 	"gbc/internal/graph"
 	"gbc/internal/xrand"
 )
 
-// ErrRepairUnsupported reports a Set that cannot be repaired in place:
-// either it was built around a caller-supplied sampler (NewSet /
-// NewFactorySet — the set cannot rebuild it over the patched graph), or at
-// least one sample was drawn by a sampler that does not record observation
-// bounds (weighted Dijkstra, custom PairSamplers). Callers fall back to
+// ErrRepairUnsupported reports a Set that cannot be repaired in place: at
+// least one of its samples was drawn by a sampler that does not record
+// observation bounds (weighted Dijkstra, custom PairSamplers), so nothing
+// says which samples a delta could have changed. Callers fall back to
 // Reset + regrow on the new graph.
 var ErrRepairUnsupported = errors.New("sampling: set does not support incremental repair")
 
@@ -59,19 +61,18 @@ type RepairStats struct {
 // universe. Every stored sample is migrated, including those a Reset kept
 // beyond Len. Only samples whose recorded observation region contains a
 // delta endpoint are re-drawn (on ng, through their per-index RNG
-// streams); everything else is kept as-is. After a successful Repair the
-// set is bound to ng and is bit-identical — paths, null counts, index,
-// future growth — to a fresh set with the same seeds grown to the same
-// length on ng. On error the set is unchanged and still bound to the old
-// graph.
+// streams, on the set's lanes like growth chunks); everything else is kept
+// as-is. After a successful Repair the set is bound to ng and is
+// bit-identical — paths, null counts, index, future growth — to a fresh
+// set with the same seeds grown to the same length on ng. On error (a
+// panic while re-drawing is a *PanicError) the set is unchanged and still
+// bound to the old graph.
 //
 // Like growth, Repair is single-owner: it must not race with GrowTo* or
-// queries on the same Set. The lanes and all arena capacity are retained.
+// queries on the same Set. The lanes and all arena capacity are retained,
+// and a set drawing under a Budget keeps only lane 0.
 func (s *Set) Repair(ng *graph.Graph, delta *graph.Delta) (RepairStats, error) {
 	var st RepairStats
-	if s.samplerFor == nil {
-		return st, ErrRepairUnsupported
-	}
 	if ng == nil || ng.N() != s.g.N() || ng.Directed() != s.g.Directed() ||
 		ng.Weighted() != s.g.Weighted() {
 		return st, fmt.Errorf("sampling: repair target graph shape mismatch")
@@ -93,25 +94,36 @@ func (s *Set) Repair(ng *graph.Graph, delta *graph.Delta) (RepairStats, error) {
 	flagged := s.flagSamples(touched)
 	st.Regenerated = len(flagged)
 
+	if s.Budget != nil {
+		defer s.dropGrantedLanes()
+	}
+	old := s.g
+	s.rebind(ng)
 	if len(flagged) > 0 {
-		// Re-draw the flagged indices on the patched graph into a private
-		// patch arena. Each index reseeds its own stream, so the draw is
-		// exactly what a cold growth on ng would produce at that index.
-		patch := &drawState{}
-		patch.init(ng.N(), s.seed0, s.seed1, s.samplerFor(ng))
-		for _, i := range flagged {
-			patch.draw(i)
+		// Re-draw the flagged indices on the patched graph, a chunk at a
+		// time, and stitch the blocks into one patch in index order. Each
+		// index reseeds its own stream, so the draw is exactly what a cold
+		// growth on ng would produce at that index.
+		var patch coverage.PathArena
+		for lo := 0; lo < len(flagged); lo += GrowChunk {
+			ids := flagged[lo:min(lo+GrowChunk, len(flagged))]
+			if err := s.draw(context.Background(), drawList{n: len(ids), ids: ids}); err != nil {
+				s.rebind(old)
+				return st, err
+			}
+			for _, b := range s.blocks {
+				patch.AppendRange(&s.lanes[b.lane].arena, int(b.from), int(b.to))
+			}
 		}
-		oldNulls, newNulls := s.cov.Splice(flagged, &patch.arena)
+		oldNulls, newNulls := s.cov.Splice(flagged, &patch)
 		s.Unreachable += newNulls - oldNulls
 		for k, i := range flagged {
-			s.obs[2*i] = patch.arena.Obs[2*k]
-			s.obs[2*i+1] = patch.arena.Obs[2*k+1]
+			s.obs[2*i] = patch.Obs[2*k]
+			s.obs[2*i+1] = patch.Obs[2*k+1]
 		}
 	} else {
 		s.cov.Commit()
 	}
-	s.rebind(ng)
 	s.Metrics.RepairRun(L, len(flagged))
 	s.updateArenaGauge()
 	return st, nil
@@ -181,13 +193,13 @@ func multiSourceDist(g *graph.Graph, sources []int32, toSources bool) []int32 {
 	return dist
 }
 
-// rebind points the set and its lanes at the patched graph. No lane
-// goroutine is running between growths (Repair is single-owner and every
-// chunk joins its goroutines before GrowToCtx returns), so re-initializing
-// the lanes here is race-free.
-func (s *Set) rebind(ng *graph.Graph) {
-	s.g = ng
+// rebind points the set and its lanes at g. No lane goroutine is running
+// between draws (Repair is single-owner and every draw joins its
+// goroutines before it returns), so re-initializing the lanes here is
+// race-free.
+func (s *Set) rebind(g *graph.Graph) {
+	s.g = g
 	for _, l := range s.lanes {
-		l.init(ng.N(), s.seed0, s.seed1, s.samplerFor(ng))
+		l.init(g.N(), s.seed0, s.seed1, s.factory(g))
 	}
 }

@@ -213,8 +213,8 @@ func TestRepairEmptyDelta(t *testing.T) {
 	}
 }
 
-// TestRepairUnsupported: sets without a graph-parameterized factory and
-// sets containing bounds-blind samples refuse repair and stay usable.
+// TestRepairUnsupported: sets containing bounds-blind samples refuse
+// repair and stay usable, and a target graph of another shape is an error.
 func TestRepairUnsupported(t *testing.T) {
 	g := randomGraph(t, 100, 300, false, 3)
 	delta := &graph.Delta{Insert: []graph.DeltaEdge{{U: 0, V: 50}}}
@@ -223,13 +223,7 @@ func TestRepairUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	custom := NewSet(g, &blindSampler{}, xrand.New(1))
-	custom.GrowTo(10)
-	if _, err := custom.Repair(ng, delta); err != ErrRepairUnsupported {
-		t.Fatalf("custom sampler: err = %v, want ErrRepairUnsupported", err)
-	}
-
-	factory := NewFactorySet(g, func() PairSampler { return &blindSampler{} }, xrand.New(1))
+	factory := NewFactorySet(g, func(*graph.Graph) PairSampler { return &blindSampler{} }, xrand.New(1))
 	factory.GrowTo(10)
 	if _, err := factory.Repair(ng, delta); err != ErrRepairUnsupported {
 		t.Fatalf("factory sampler: err = %v, want ErrRepairUnsupported", err)

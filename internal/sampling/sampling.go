@@ -71,12 +71,10 @@ type PairSampler interface {
 type Set struct {
 	g            *graph.Graph
 	seed0, seed1 uint64
-	newSampler   func() PairSampler // nil when only a shared sampler exists
-	// samplerFor rebuilds the sampler kind over an arbitrary graph; set by
-	// the graph-aware constructors (NewBidirectionalSet & co) and required
-	// by Repair, which must re-draw flagged samples on the patched graph.
-	samplerFor func(*graph.Graph) PairSampler
-	cov        *coverage.Instance
+	// factory builds one lane's sampler over a graph: the set's own, or
+	// the patched graph a Repair moves the lanes to.
+	factory func(*graph.Graph) PairSampler
+	cov     *coverage.Instance
 
 	// obs holds two observation-bound values per stored sample in index
 	// order (bfs.Sample.ObsF, ObsB — see that type for the soundness
@@ -86,32 +84,25 @@ type Set struct {
 	// and disqualifies the whole set from repair.
 	obs []int32
 
-	// lanes holds the per-worker draw states (see lane.go); lanes[0] wraps
-	// the sampler the set was built with and draws on the calling
-	// goroutine. arenas aliases their arenas in lane order. stop is the
-	// shared chunk-abort flag and wg joins the chunk's lane goroutines.
+	// lanes holds the per-worker draw states (see lane.go); lanes[0]
+	// draws on the calling goroutine. The draw in progress (see draw) has
+	// the cursor its lanes claim blocks from and where each block landed in
+	// blocks; stop is its abort flag and wg joins its lane goroutines.
 	lanes  []*lane
-	arenas []*coverage.PathArena
+	cursor atomic.Int64
+	blocks []block
 	stop   atomic.Bool
 	wg     sync.WaitGroup
 
-	// shareEnd is reused scratch for EWMA share sizing. Share boundaries
-	// only decide which lane draws which contiguous index block — sample
-	// content is a pure function of the index and blocks merge in index
-	// order — so the committed result is bit-identical for every timing
-	// and share split.
-	shareEnd []int
-
-	// Workers sets the number of lanes GrowTo draws on. Values < 2, or a
-	// Set built around a caller-supplied single sampler, draw on the
-	// calling goroutine alone. With a Budget it caps the lanes a chunk may
-	// claim instead (< 1 = no cap). The result is identical either way.
+	// Workers sets the number of lanes a draw runs on. Values < 2 draw on
+	// the calling goroutine alone. With a Budget it caps the lanes a draw
+	// may claim instead (< 1 = no cap). The result is identical either way.
 	Workers int
 
-	// Budget, when non-nil, sizes each chunk from a shared LaneBudget
-	// instead of Workers: the chunk draws on the set's own lane plus the
-	// tokens free when it starts. Granted lanes are dropped when growth
-	// returns, so a set kept between solves holds only lane 0.
+	// Budget, when non-nil, sizes each draw (a growth chunk or a repair's
+	// re-draw) from a shared LaneBudget instead of Workers: the set's own
+	// lane plus the tokens free when it starts. Granted lanes are dropped
+	// when growth or Repair returns, so a kept set holds only lane 0.
 	Budget *LaneBudget
 
 	// Remote, when non-nil, delegates all sample drawing to an external
@@ -144,32 +135,30 @@ type Set struct {
 	lastFootprint int64
 }
 
-// NewSet returns an empty sample set around a caller-supplied sampler,
-// seeded from r. Such a set always grows on one lane; use
-// NewBidirectionalSet, NewForwardSet or NewFactorySet for parallel growth.
-func NewSet(g *graph.Graph, sampler PairSampler, r *xrand.Rand) *Set {
-	return newSet(g, r, sampler)
-}
-
-// NewFactorySet returns an empty sample set that builds one sampler per
-// lane with factory, enabling parallel growth with a caller-supplied
-// sampler type.
-func NewFactorySet(g *graph.Graph, factory func() PairSampler, r *xrand.Rand) *Set {
-	s := newSet(g, r, factory())
-	s.newSampler = factory
+// NewFactorySet returns an empty sample set, seeded from r, whose lanes
+// each draw with a sampler factory builds over the set's graph. Repair
+// builds them anew over the patched graph.
+func NewFactorySet(g *graph.Graph, factory func(*graph.Graph) PairSampler, r *xrand.Rand) *Set {
+	if g.N() < 2 {
+		// Internal invariant: core.Options.validate and the gbc package
+		// reject graphs with fewer than two nodes before building a Set.
+		panic("sampling: graph needs at least two nodes")
+	}
+	s := &Set{g: g, seed0: r.Uint64(), seed1: r.Uint64(), factory: factory, cov: coverage.New(g.N())}
+	s.addLane()
 	return s
 }
 
 // NewBidirectionalSet is the common construction: a Set backed by balanced
 // bidirectional BFS samplers (one per lane).
 func NewBidirectionalSet(g *graph.Graph, r *xrand.Rand) *Set {
-	return newGraphFactorySet(g, r, func(g *graph.Graph) PairSampler { return bfs.NewBidirectional(g) })
+	return NewFactorySet(g, func(g *graph.Graph) PairSampler { return bfs.NewBidirectional(g) }, r)
 }
 
 // NewForwardSet is a Set backed by truncated forward-BFS samplers; the
 // reference sampler for tests and ablations.
 func NewForwardSet(g *graph.Graph, r *xrand.Rand) *Set {
-	return newGraphFactorySet(g, r, func(g *graph.Graph) PairSampler { return bfs.NewForward(g) })
+	return NewFactorySet(g, func(g *graph.Graph) PairSampler { return bfs.NewForward(g) }, r)
 }
 
 // NewWeightedSet is a Set backed by bidirectional Dijkstra samplers for
@@ -177,18 +166,7 @@ func NewForwardSet(g *graph.Graph, r *xrand.Rand) *Set {
 // every exported entry point picks the sampler by g.Weighted() (NewSetFor)
 // or validates the graph before construction.
 func NewWeightedSet(g *graph.Graph, r *xrand.Rand) *Set {
-	return newGraphFactorySet(g, r, func(g *graph.Graph) PairSampler { return bfs.NewDijkstra(g) })
-}
-
-// newGraphFactorySet is NewFactorySet with a graph-parameterized factory,
-// which additionally enables Repair: the set can rebuild its sampler kind
-// over a patched graph. The newSampler closure reads s.g at call time, so
-// lanes added after a Repair sample the rebound graph.
-func newGraphFactorySet(g *graph.Graph, r *xrand.Rand, factory func(*graph.Graph) PairSampler) *Set {
-	s := newSet(g, r, factory(g))
-	s.samplerFor = factory
-	s.newSampler = func() PairSampler { return factory(s.g) }
-	return s
+	return NewFactorySet(g, func(g *graph.Graph) PairSampler { return bfs.NewDijkstra(g) }, r)
 }
 
 // NewSetFor picks the natural sampler for g: Dijkstra when weighted,
@@ -200,37 +178,25 @@ func NewSetFor(g *graph.Graph, r *xrand.Rand) *Set {
 	return NewBidirectionalSet(g, r)
 }
 
-// newSet builds an empty set whose lane 0 draws with sampler.
-func newSet(g *graph.Graph, r *xrand.Rand, sampler PairSampler) *Set {
-	if g.N() < 2 {
-		// Internal invariant: core.Options.validate and the gbc package
-		// reject graphs with fewer than two nodes before building a Set.
-		panic("sampling: graph needs at least two nodes")
-	}
-	s := &Set{g: g, seed0: r.Uint64(), seed1: r.Uint64(), cov: coverage.New(g.N())}
-	s.addLane(sampler)
-	return s
-}
-
-// addLane appends a lane drawing with sampler. Without a Budget lanes are
-// only ever added — lowering Workers just leaves the extra ones idle.
-func (s *Set) addLane(sampler PairSampler) {
+// addLane appends a lane drawing over the set's graph. Without a Budget
+// lanes are only ever added — lowering Workers just leaves the extra ones
+// idle.
+func (s *Set) addLane() {
 	l := &lane{}
-	l.init(s.g.N(), s.seed0, s.seed1, sampler)
+	l.init(s.g.N(), s.seed0, s.seed1, s.factory(s.g))
 	s.lanes = append(s.lanes, l)
-	s.arenas = append(s.arenas, &l.arena)
 }
 
 // Len returns the number of samples in the set (null samples included).
 func (s *Set) Len() int { return s.cov.Len() }
 
 // MemoryFootprint returns the bytes the set retains: the coverage
-// engine's arena, index and query workspace, the observation bounds, and
-// each lane's sampler workspace and arena (a set drawing under a Budget
-// keeps only lane 0 between growths). The serving layer charges it
-// against the family byte budget.
+// engine's arena, index and query workspace, the observation bounds, the
+// block records, and each lane's sampler workspace and arena (a set
+// drawing under a Budget keeps only lane 0 between growths). The serving
+// layer charges it against the family byte budget.
 func (s *Set) MemoryFootprint() int64 {
-	b := s.cov.MemoryFootprint() + int64(cap(s.obs))*4
+	b := s.cov.MemoryFootprint() + int64(cap(s.obs))*4 + int64(cap(s.blocks))*12
 	for _, l := range s.lanes {
 		b += l.footprint()
 	}
@@ -325,39 +291,60 @@ func (s *Set) updateArenaGauge() {
 	s.lastFootprint = fp
 }
 
-// growLocal draws indices [cur, end) on chunkLanes lanes — lane w takes
-// one contiguous block of the range, sized by its smoothed draw-cost EWMA
-// so a straggling lane gets a smaller share instead of idling its siblings
-// at the chunk barrier — and then bulk-appends the lane arenas into the
-// coverage arena in lane (= index) order, matching a one-lane growth
-// exactly (each index's RNG stream depends only on the index, so who draws
-// it never matters). Lane 0 runs on the calling goroutine, the others on
-// goroutines joined before anything commits; budget tokens go back on
-// return. The chunk commits all-or-nothing: when a lane stops early on
-// cancellation or a panic nothing is appended and each lane resets its
-// arena at its next share, so the Set never holds a partially drawn chunk.
+// growLocal draws indices [cur, end) on the lanes and appends the blocks
+// in index order, after growing the coverage arena and the bound records
+// once for the whole chunk. The chunk commits all-or-nothing: a draw that
+// stops early appends nothing, and the next draw resets the arenas.
 func (s *Set) growLocal(ctx context.Context, cur, end int) error {
-	lanes := s.chunkLanes()
+	count := end - cur
+	if err := s.draw(ctx, drawList{lo: cur, n: count}); err != nil {
+		return err
+	}
+	nodes := 0
+	for _, b := range s.blocks {
+		a := &s.lanes[b.lane].arena
+		nodes += int(a.Offsets[b.to] - a.Offsets[b.from])
+	}
+	s.cov.Grow(count, nodes)
+	s.obs = coverage.Reserve(s.obs, 2*count)
+	for _, b := range s.blocks {
+		a := &s.lanes[b.lane].arena
+		s.Unreachable += s.cov.AddRange(a, int(b.from), int(b.to))
+		s.obs = append(s.obs, a.Obs[2*b.from:2*b.to]...)
+	}
+	return nil
+}
+
+// draw samples every index of list on the lanes chunkLanes grants. Lanes
+// claim blocks of drawBlock positions from one cursor and record where
+// each landed (see drawLane), so s.blocks read in order yields the samples
+// in list order, whichever lane drew which block. Lane 0 draws on the
+// calling goroutine, the others on goroutines joined before draw returns,
+// and budget tokens go back on return. A lone lane finishes the list;
+// several check the stop flag and ctx before every sample, so a
+// cancellation or a lane's panic stops all of them, and draw returns
+// ctx.Err() or the *PanicError.
+func (s *Set) draw(ctx context.Context, list drawList) error {
+	nb := (list.n + drawBlock - 1) / drawBlock
+	lanes := s.chunkLanes(nb)
 	defer s.Budget.release(lanes)
 	for len(s.lanes) < lanes {
-		s.addLane(s.newSampler())
+		s.addLane()
 	}
-	count := end - cur
-	shares := s.sizeShares(count, lanes)
+	s.blocks = coverage.Reserve(s.blocks[:0], nb)[:nb]
+	s.cursor.Store(0)
+	s.stop.Store(false)
 	done := ctx.Done()
 	if lanes == 1 {
-		// A lone lane finishes its chunk, as sequential growth always has:
-		// the chunk still commits under a deadline, so a run cut short in
-		// its first chunk keeps a partial result, and growth stops at the
-		// next chunk boundary.
+		// A lone lane finishes its draw, so a run cut short by a deadline
+		// in its first chunk still commits it and keeps a partial result.
 		done = nil
 	}
-	s.stop.Store(false)
+	s.wg.Add(lanes - 1)
 	for w := 1; w < lanes; w++ {
-		s.wg.Add(1)
-		go s.runLane(w, cur+shares[w], cur+shares[w+1], done)
+		go s.drawLane(w, list, done)
 	}
-	s.lanes[0].run(cur, cur+shares[1], done, &s.stop, s.Metrics)
+	s.drawLane(0, list, done)
 	s.wg.Wait()
 	active := s.lanes[:lanes]
 	for _, l := range active {
@@ -366,12 +353,11 @@ func (s *Set) growLocal(ctx context.Context, cur, end int) error {
 		}
 	}
 	if s.stop.Load() {
-		// A lane saw done close and quit its share early.
-		return ctx.Err()
+		return ctx.Err() // a lane saw done close and quit early
 	}
 	if s.Metrics != nil {
 		// Barrier waste: how long finished lanes sat idle waiting for the
-		// chunk's straggler.
+		// draw's last block.
 		var last time.Time
 		for _, l := range active {
 			if l.done.After(last) {
@@ -384,40 +370,21 @@ func (s *Set) growLocal(ctx context.Context, cur, end int) error {
 		}
 		s.Metrics.AddSamplerIdle(idle)
 	}
-	for w, l := range active {
-		n := shares[w+1] - shares[w]
-		if n <= 0 {
-			continue
-		}
-		busy := max(l.done.Sub(l.start).Nanoseconds(), 1)
-		cost := float64(busy) / float64(n)
-		if l.cost == 0 {
-			l.cost = cost
-		} else {
-			l.cost = 0.7*l.cost + 0.3*cost
-		}
-	}
-	s.Unreachable += s.cov.AddArenas(s.arenas[:lanes])
-	// Lane w drew one contiguous index block, so concatenating the arenas'
-	// bound records in lane order preserves index order.
-	for _, a := range s.arenas[:lanes] {
-		s.obs = append(s.obs, a.Obs...)
-	}
 	return nil
 }
 
-// chunkLanes returns how many lanes the next chunk draws on: Workers, or
-// with a Budget the set's own lane plus the tokens it grants, capped at
-// Workers. A set without a sampler factory always draws on one lane.
-func (s *Set) chunkLanes() int {
-	want := 1
-	if s.newSampler != nil {
-		want = s.Workers
-	}
+// chunkLanes returns how many lanes a draw of blocks blocks runs on:
+// Workers, or with a Budget the set's own lane plus the tokens it grants,
+// capped at Workers; and never more lanes than blocks.
+func (s *Set) chunkLanes(blocks int) int {
 	if s.Budget == nil {
-		return max(want, 1)
+		return max(min(s.Workers, blocks), 1)
 	}
-	lanes := s.Budget.claim(want)
+	limit := s.Workers
+	if limit < 1 || limit > blocks {
+		limit = blocks
+	}
+	lanes := s.Budget.claim(limit)
 	if lanes > 1 {
 		s.Metrics.AddHelperLanes(lanes - 1)
 	}
@@ -430,64 +397,6 @@ func (s *Set) chunkLanes() int {
 func (s *Set) dropGrantedLanes() {
 	clear(s.lanes[1:])
 	s.lanes = s.lanes[:1]
-	clear(s.arenas[1:])
-	s.arenas = s.arenas[:1]
-}
-
-// runLane is the body of a lane goroutine started by growLocal.
-func (s *Set) runLane(w, lo, hi int, done <-chan struct{}) {
-	defer s.wg.Done()
-	s.lanes[w].run(lo, hi, done, &s.stop, s.Metrics)
-}
-
-// sizeShares fills s.shareEnd with lanes+1 cumulative block boundaries over
-// a count-sample chunk, proportional to each lane's smoothed speed
-// (1/cost). With no timing history shares are equal. Speeds are floored at
-// 1/8 of the fastest so a transient stall (GC pause, noisy neighbor) can't
-// starve a lane out of future measurements, and boundaries come from
-// cumulative proportions, so they are monotone and sum exactly.
-func (s *Set) sizeShares(count, lanes int) []int {
-	if cap(s.shareEnd) < lanes+1 {
-		s.shareEnd = make([]int, lanes+1)
-	}
-	s.shareEnd = s.shareEnd[:lanes+1]
-	known, sum := 0, 0.0
-	for _, l := range s.lanes[:lanes] {
-		if l.cost > 0 {
-			known++
-			sum += 1 / l.cost
-		}
-	}
-	if known == 0 {
-		for w := 0; w <= lanes; w++ {
-			s.shareEnd[w] = w * count / lanes
-		}
-		return s.shareEnd
-	}
-	mean := sum / float64(known)
-	speed := func(l *lane) float64 {
-		if l.cost > 0 {
-			return 1 / l.cost
-		}
-		return mean
-	}
-	maxSp := 0.0
-	for _, l := range s.lanes[:lanes] {
-		maxSp = max(maxSp, speed(l))
-	}
-	floor := maxSp / 8
-	total := 0.0
-	for _, l := range s.lanes[:lanes] {
-		total += max(speed(l), floor)
-	}
-	s.shareEnd[0] = 0
-	acc := 0.0
-	for w, l := range s.lanes[:lanes] {
-		acc += max(speed(l), floor)
-		s.shareEnd[w+1] = int(float64(count) * acc / total)
-	}
-	s.shareEnd[lanes] = count
-	return s.shareEnd
 }
 
 // Reset rewinds the set — Len and Unreachable return to zero — while

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"gbc/internal/bfs"
 	"gbc/internal/exact"
 	"gbc/internal/gen"
 	"gbc/internal/graph"
@@ -78,8 +77,8 @@ func TestForwardAndBidirectionalSetsAgree(t *testing.T) {
 	r := xrand.New(5)
 	g := gen.BarabasiAlbert(120, 2, r.Split())
 	group := []int32{0, 3}
-	sb := NewSet(g, bfs.NewBidirectional(g), r.Split())
-	sf := NewSet(g, bfs.NewForward(g), r.Split())
+	sb := NewBidirectionalSet(g, r.Split())
+	sf := NewForwardSet(g, r.Split())
 	sb.GrowTo(20000)
 	sf.GrowTo(20000)
 	eb, ef := sb.EstimateGroup(group), sf.EstimateGroup(group)

@@ -30,12 +30,8 @@ import (
 // families are dropped whole.
 
 // familyKey names a family within an entry. The seed fixes every set's
-// per-index streams and forward the sampler kind; the graph fixes
-// weighted versus unweighted.
-type familyKey struct {
-	seed    uint64
-	forward bool
-}
+// per-index streams; the graph fixes the sampler kind (sampling.NewSetFor).
+type familyKey struct{ seed uint64 }
 
 // familyKeyFor normalizes defaulted fields (Seed 0 solves as 1 —
 // Options.withDefaults), so explicit and implicit defaults share a family.
@@ -44,7 +40,7 @@ func familyKeyFor(opts core.Options) familyKey {
 	if seed == 0 {
 		seed = 1
 	}
-	return familyKey{seed: seed, forward: opts.UseForwardSampler}
+	return familyKey{seed: seed}
 }
 
 // memoKey identifies which memo answers may stand in for a request: every

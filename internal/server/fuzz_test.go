@@ -54,6 +54,7 @@ func FuzzTopKDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{"algorithm":"EXHAUST","k":0}`))
+	f.Add([]byte(`{"graph":"g","k":3,"forward":true}`))
 	fuzzPost(f, "/v1/topk")
 }
 

@@ -559,7 +559,12 @@ func (e *Entry) Solve(ctx context.Context, opts core.Options, metrics *obs.Metri
 	// on-disk file.
 	var remote sampling.RemoteGrower
 	if e.Shard != nil && e.ShardKey != "" && v.num == 1 {
-		remote = e.Shard.Grower(e.ShardKey, samplerKind(v.g, f.key.forward))
+		// The workers draw with sampling.NewSetFor's choice of sampler.
+		kind := wire.SamplerBidirectional
+		if v.g.Weighted() {
+			kind = wire.SamplerDijkstra
+		}
+		remote = e.Shard.Grower(e.ShardKey, kind)
 	}
 	// Every set draws under the server's lane budget; the solver then sets
 	// the request's workers as the cap on lanes per chunk.
@@ -574,7 +579,7 @@ func (e *Entry) Solve(ctx context.Context, opts core.Options, metrics *obs.Metri
 			s.Reset()
 		} else {
 			metrics.RegistryMiss()
-			s = buildSet(g, r, f.key.forward)
+			s = sampling.NewSetFor(g, r)
 			f.sets = append(f.sets, s)
 		}
 		s.Remote = remote
@@ -599,31 +604,4 @@ func (e *Entry) Solve(ctx context.Context, opts core.Options, metrics *obs.Metri
 func cacheable(opts core.Options) bool {
 	return opts.Rand == nil && opts.SamplerSet == nil &&
 		opts.Algorithm != core.AlgPairSampling && opts.Algorithm != core.AlgBudgeted
-}
-
-// buildSet mirrors the solver's default sampler choice (weighted →
-// Dijkstra, else forward or balanced bidirectional BFS); the hook that
-// calls it replaces that default, so it must reproduce it exactly.
-func buildSet(g *graph.Graph, r *xrand.Rand, forward bool) *sampling.Set {
-	switch {
-	case g.Weighted():
-		return sampling.NewWeightedSet(g, r)
-	case forward:
-		return sampling.NewForwardSet(g, r)
-	default:
-		return sampling.NewBidirectionalSet(g, r)
-	}
-}
-
-// samplerKind names buildSet's choice on the shard wire, so every worker
-// constructs the same Drawer the coordinator's local sets would use.
-func samplerKind(g *graph.Graph, forward bool) string {
-	switch {
-	case g.Weighted():
-		return wire.SamplerDijkstra
-	case forward:
-		return wire.SamplerForward
-	default:
-		return wire.SamplerBidirectional
-	}
 }

@@ -38,6 +38,8 @@ func TestSchedulerQueueFull(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
+	unwedge := sync.OnceFunc(func() { close(release) })
+	defer unwedge() // before Shutdown, so a failed check cannot hang the drain
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -59,7 +61,7 @@ func TestSchedulerQueueFull(t *testing.T) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
 
-	close(release)
+	unwedge()
 	wg.Wait()
 	if d := sink.depth.Load(); d != 0 {
 		t.Fatalf("queue depth gauge did not return to 0: %d", d)
@@ -135,6 +137,8 @@ func TestSchedulerTenantFairness(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	gate := make(chan struct{})
+	ungate := sync.OnceFunc(func() { close(gate) })
+	defer ungate() // before Shutdown, so a failed check cannot hang the drain
 	var mu sync.Mutex
 	var order []string
 	var wg sync.WaitGroup
@@ -165,7 +169,7 @@ func TestSchedulerTenantFairness(t *testing.T) {
 		go submit("B")
 	}
 	waitFor(t, "B's tasks to queue", func() bool { q, _ := s.Queued(); return q == 10 })
-	close(gate)
+	ungate()
 	wg.Wait()
 
 	// The rotation alternates A,B,A,B,… while both have work: B's second

@@ -544,8 +544,8 @@ type topkRequest struct {
 	// Sampling names the growth execution mode. The only mode is
 	// "deterministic" (also the default when empty).
 	Sampling string `json:"sampling,omitempty"`
-	// Forward swaps the balanced bidirectional sampler for the forward-only
-	// ablation.
+	// Forward is refused with a typed 400: the forward-only sampler is a
+	// library ablation and test oracle, not a served sampler.
 	Forward bool `json:"forward,omitempty"`
 	// TimeoutMillis bounds the run (queue wait included); on expiry the
 	// best-so-far group is returned with partial:true. 0 means the
@@ -604,6 +604,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown sampling mode %q (want deterministic)", req.Sampling), "sampling")
 		return
 	}
+	if req.Forward {
+		writeError(w, http.StatusBadRequest,
+			"the forward sampler is a library ablation, not served", "forward")
+		return
+	}
 	switch req.Freshness {
 	case "", "any", "exact":
 	default:
@@ -624,8 +629,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	opts := core.Options{
 		Algorithm: alg, K: req.K, Epsilon: req.Epsilon, Gamma: req.Gamma,
 		Seed: req.Seed, Workers: req.Workers,
-		CollectTrace:      req.Trace,
-		UseForwardSampler: req.Forward, Metrics: s.metrics,
+		CollectTrace: req.Trace, Metrics: s.metrics,
 	}
 	if err := opts.Validate(); err != nil {
 		var oe *core.OptionError

@@ -101,6 +101,37 @@ func TestDrawClaimEdges(t *testing.T) {
 	}
 }
 
+// TestClaimRuns: the runs lanes claim tile a draw's blocks in order. A
+// lone lane takes them all in one claim; several take at most drawRun
+// blocks a claim, down to single blocks at the end.
+func TestClaimRuns(t *testing.T) {
+	for _, lanes := range []int{1, 2, 4} {
+		for _, nb := range []int{1, 3, 64} {
+			s := &Set{blocks: make([]block, nb)}
+			next, claims, last := 0, 0, 0
+			for {
+				b, end := s.claim(lanes)
+				if b == end {
+					break
+				}
+				if b != next || end > nb || (lanes > 1 && end-b > drawRun) {
+					t.Fatalf("lanes=%d, %d blocks: claimed [%d, %d) after block %d", lanes, nb, b, end, next)
+				}
+				next, claims, last = end, claims+1, end-b
+			}
+			if next != nb {
+				t.Fatalf("lanes=%d, %d blocks: claims stopped at block %d", lanes, nb, next)
+			}
+			if lanes == 1 && claims != 1 {
+				t.Fatalf("a lone lane took %d claims for %d blocks, want one", claims, nb)
+			}
+			if lanes > 1 && last != 1 {
+				t.Fatalf("lanes=%d, %d blocks: the last claim took %d blocks, want one", lanes, nb, last)
+			}
+		}
+	}
+}
+
 // TestRepairOnStragglerLanes: Repair re-draws its flagged samples on the
 // set's lanes, one of them a straggler, and still matches a cold one-lane
 // regrow on the patched graph bit for bit.

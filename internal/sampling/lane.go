@@ -133,11 +133,12 @@ func (b *LaneBudget) release(lanes int) {
 	}
 }
 
-// drawBlock is how many consecutive positions of a draw a lane claims at
-// a time: small enough that a GrowChunk splits into 64 blocks and lanes
-// finish within about one block of each other, large enough that one
-// atomic add and one ranged append per block are noise beside its draws.
+// drawBlock is how many consecutive positions of a draw make a block: the
+// unit a lane records and the commit appends, and the least a lane claims.
 const drawBlock = 64
+
+// drawRun is the most blocks one claim takes (see claim).
+const drawRun = 4
 
 // drawList is the sample indices of one draw by position k: lo+k for
 // growth, or ids[k] for Repair (n = len(ids)).
@@ -159,13 +160,13 @@ type lane struct {
 	pe   *PanicError
 }
 
-// drawLane is lane w's part of a draw: it resets the lane's arena, then
-// claims blocks, records each in s.blocks and draws it, until list is
-// drawn. It checks stop and done before every sample; a closed done raises
-// stop for the sibling lanes. A panic is recovered into the lane's pe and
-// also raises stop. Lanes other than lane 0 run on their own goroutines
-// and mark s.wg done when they end.
-func (s *Set) drawLane(w int, list drawList, done <-chan struct{}) {
+// drawLane is lane w's part of a draw on lanes lanes: it resets the
+// lane's arena, then claims runs of blocks, records each block in s.blocks
+// and draws it, until list is drawn. It checks stop and done before every
+// sample; a closed done raises stop for the sibling lanes. A panic is
+// recovered into the lane's pe and also raises stop. Lanes other than
+// lane 0 run on their own goroutines and mark s.wg done when they end.
+func (s *Set) drawLane(w, lanes int, list drawList, done <-chan struct{}) {
 	l := s.lanes[w]
 	s.Metrics.WorkerBusy(1)
 	l.pe = nil
@@ -194,27 +195,51 @@ func (s *Set) drawLane(w int, list drawList, done <-chan struct{}) {
 	l.arena.Offsets = coverage.Reserve(l.arena.Offsets, list.n)
 	l.arena.Obs = coverage.Reserve(l.arena.Obs, 2*list.n)
 	for {
-		lo := int(s.cursor.Add(1)-1) * drawBlock
-		if lo >= list.n {
+		b, end := s.claim(lanes)
+		if b == end {
 			return
 		}
-		hi, first := min(lo+drawBlock, list.n), l.arena.Len()
-		s.blocks[lo/drawBlock] = block{lane: int32(w), from: int32(first), to: int32(first + hi - lo)}
-		for k := lo; k < hi; k++ {
-			if s.stop.Load() {
-				return
+		for ; b < end; b++ {
+			lo, hi, first := b*drawBlock, min((b+1)*drawBlock, list.n), l.arena.Len()
+			s.blocks[b] = block{lane: int32(w), from: int32(first), to: int32(first + hi - lo)}
+			for k := lo; k < hi; k++ {
+				if s.stop.Load() {
+					return
+				}
+				select {
+				case <-done:
+					s.stop.Store(true)
+					return
+				default:
+				}
+				i := list.lo + k
+				if list.ids != nil {
+					i = list.ids[k]
+				}
+				l.drawInto(&l.arena, i)
 			}
-			select {
-			case <-done:
-				s.stop.Store(true)
-				return
-			default:
-			}
-			i := list.lo + k
-			if list.ids != nil {
-				i = list.ids[k]
-			}
-			l.drawInto(&l.arena, i)
+		}
+	}
+}
+
+// claim takes the next run of blocks [b, end) for a lane, empty when none
+// is left: all of them on a lone lane, else 1/(2·lanes) of those left,
+// from one to drawRun, so lanes end within about one block of each other.
+// Runs keep claims few: each is an atomic write, which under the race
+// detector costs the lane a new epoch (DESIGN.md, "Why runs").
+func (s *Set) claim(lanes int) (b, end int) {
+	nb := int64(len(s.blocks))
+	for {
+		c := s.cursor.Load()
+		if c >= nb {
+			return 0, 0
+		}
+		k := nb - c
+		if lanes > 1 {
+			k = min(max(k/int64(2*lanes), 1), drawRun)
+		}
+		if s.cursor.CompareAndSwap(c, c+k) {
+			return int(c), int(c + k)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 
-	"gbc/internal/bfs"
 	"gbc/internal/coverage"
 	"gbc/internal/graph"
 )
@@ -82,22 +81,15 @@ type Drawer struct {
 // "bidirectional", "forward" or "dijkstra", matching the wire protocol's
 // sampler names — and the sample set's per-index stream seeds.
 func NewDrawer(g *graph.Graph, kind string, seed0, seed1 uint64) (*Drawer, error) {
-	var sampler PairSampler
-	switch kind {
-	case "bidirectional":
-		sampler = bfs.NewBidirectional(g)
-	case "forward":
-		sampler = bfs.NewForward(g)
-	case "dijkstra":
-		if !g.Weighted() {
-			return nil, fmt.Errorf("sampling: dijkstra sampler needs a weighted graph")
-		}
-		sampler = bfs.NewDijkstra(g)
-	default:
+	factory := samplers[kind]
+	if factory == nil {
 		return nil, fmt.Errorf("sampling: unknown sampler kind %q (want bidirectional, forward or dijkstra)", kind)
 	}
+	if kind == "dijkstra" && !g.Weighted() {
+		return nil, fmt.Errorf("sampling: dijkstra sampler needs a weighted graph")
+	}
 	d := &Drawer{}
-	d.st.init(g.N(), seed0, seed1, sampler)
+	d.st.init(g.N(), seed0, seed1, factory(g))
 	return d, nil
 }
 

@@ -86,8 +86,9 @@ type Set struct {
 
 	// lanes holds the per-worker draw states (see lane.go); lanes[0]
 	// draws on the calling goroutine. The draw in progress (see draw) has
-	// the cursor its lanes claim blocks from and where each block landed in
-	// blocks; stop is its abort flag and wg joins its lane goroutines.
+	// the cursor its lanes claim runs of blocks from and where each block
+	// landed in blocks; stop is its abort flag and wg joins its lane
+	// goroutines.
 	lanes  []*lane
 	cursor atomic.Int64
 	blocks []block
@@ -149,16 +150,24 @@ func NewFactorySet(g *graph.Graph, factory func(*graph.Graph) PairSampler, r *xr
 	return s
 }
 
+// samplers builds one lane's sampler by kind name; the names are the ones
+// NewDrawer takes and the shard protocol uses.
+var samplers = map[string]func(*graph.Graph) PairSampler{
+	"bidirectional": func(g *graph.Graph) PairSampler { return bfs.NewBidirectional(g) },
+	"forward":       func(g *graph.Graph) PairSampler { return bfs.NewForward(g) },
+	"dijkstra":      func(g *graph.Graph) PairSampler { return bfs.NewDijkstra(g) },
+}
+
 // NewBidirectionalSet is the common construction: a Set backed by balanced
 // bidirectional BFS samplers (one per lane).
 func NewBidirectionalSet(g *graph.Graph, r *xrand.Rand) *Set {
-	return NewFactorySet(g, func(g *graph.Graph) PairSampler { return bfs.NewBidirectional(g) }, r)
+	return NewFactorySet(g, samplers["bidirectional"], r)
 }
 
 // NewForwardSet is a Set backed by truncated forward-BFS samplers; the
 // reference sampler for tests and ablations.
 func NewForwardSet(g *graph.Graph, r *xrand.Rand) *Set {
-	return NewFactorySet(g, func(g *graph.Graph) PairSampler { return bfs.NewForward(g) }, r)
+	return NewFactorySet(g, samplers["forward"], r)
 }
 
 // NewWeightedSet is a Set backed by bidirectional Dijkstra samplers for
@@ -166,16 +175,22 @@ func NewForwardSet(g *graph.Graph, r *xrand.Rand) *Set {
 // every exported entry point picks the sampler by g.Weighted() (NewSetFor)
 // or validates the graph before construction.
 func NewWeightedSet(g *graph.Graph, r *xrand.Rand) *Set {
-	return NewFactorySet(g, func(g *graph.Graph) PairSampler { return bfs.NewDijkstra(g) }, r)
+	return NewFactorySet(g, samplers["dijkstra"], r)
 }
 
-// NewSetFor picks the natural sampler for g: Dijkstra when weighted,
-// balanced bidirectional BFS otherwise.
-func NewSetFor(g *graph.Graph, r *xrand.Rand) *Set {
+// KindFor names the natural sampler for g: "dijkstra" when g is weighted,
+// else "bidirectional". NewSetFor draws with it, and a shard coordinator
+// asks its workers for it.
+func KindFor(g *graph.Graph) string {
 	if g.Weighted() {
-		return NewWeightedSet(g, r)
+		return "dijkstra"
 	}
-	return NewBidirectionalSet(g, r)
+	return "bidirectional"
+}
+
+// NewSetFor returns a set drawing with KindFor(g)'s sampler.
+func NewSetFor(g *graph.Graph, r *xrand.Rand) *Set {
+	return NewFactorySet(g, samplers[KindFor(g)], r)
 }
 
 // addLane appends a lane drawing over the set's graph. Without a Budget
@@ -316,11 +331,11 @@ func (s *Set) growLocal(ctx context.Context, cur, end int) error {
 }
 
 // draw samples every index of list on the lanes chunkLanes grants. Lanes
-// claim blocks of drawBlock positions from one cursor and record where
-// each landed (see drawLane), so s.blocks read in order yields the samples
-// in list order, whichever lane drew which block. Lane 0 draws on the
-// calling goroutine, the others on goroutines joined before draw returns,
-// and budget tokens go back on return. A lone lane finishes the list;
+// claim runs of drawBlock-position blocks from one cursor and record where
+// each block landed (see drawLane and claim), so s.blocks read in order
+// yields the samples in list order, whichever lane drew which block. Lane
+// 0 draws on the calling goroutine, the others on goroutines joined before
+// draw returns, and budget tokens go back on return. A lone lane finishes the list;
 // several check the stop flag and ctx before every sample, so a
 // cancellation or a lane's panic stops all of them, and draw returns
 // ctx.Err() or the *PanicError.
@@ -342,9 +357,9 @@ func (s *Set) draw(ctx context.Context, list drawList) error {
 	}
 	s.wg.Add(lanes - 1)
 	for w := 1; w < lanes; w++ {
-		go s.drawLane(w, list, done)
+		go s.drawLane(w, lanes, list, done)
 	}
-	s.drawLane(0, list, done)
+	s.drawLane(0, lanes, list, done)
 	s.wg.Wait()
 	active := s.lanes[:lanes]
 	for _, l := range active {

@@ -205,7 +205,7 @@ func (f *family) store(key memoKey, eps float64, res wire.Result) {
 // lanes are retained — or, when the chain is pruned or a set does not
 // support repair (weighted Dijkstra sampling), dropped to rebuild cold
 // inside the solve. Called under f.run.
-func (f *family) prepare(v *version, metrics *obs.Metrics) {
+func (f *family) prepare(v *version, workers int, metrics *obs.Metrics) {
 	if f.bound == v {
 		return
 	}
@@ -213,8 +213,9 @@ func (f *family) prepare(v *version, metrics *obs.Metrics) {
 		d, ok := f.entry.deltaChain(f.bound.num, v.num)
 		if ok {
 			for _, s := range f.sets {
-				// Repair runs outside a solve, so the set's metrics sink
-				// is unset; borrow the caller's for the repair counters.
+				// The set still holds the last request's lane cap and
+				// metrics sink; repair under this request's.
+				s.Workers = workers
 				s.Metrics = metrics
 				if _, err := s.Repair(v.g, d); err != nil {
 					ok = false

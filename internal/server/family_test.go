@@ -10,6 +10,7 @@ import (
 	"gbc/internal/core"
 	"gbc/internal/graph"
 	"gbc/internal/obs"
+	"gbc/internal/sampling"
 	"gbc/internal/wire"
 )
 
@@ -238,5 +239,71 @@ func TestFamilyRepairUnderPatches(t *testing.T) {
 		if !reflect.DeepEqual(a.res, stripElapsed(res)) {
 			t.Fatalf("K=%d on version %d differs from a cold solve of that version", a.k, a.ver)
 		}
+	}
+}
+
+// TestFamilyRepairDrawsUnderRequestWorkers: a family's repair after a
+// PATCH draws under the lane cap of the request that triggers it, not of
+// the request the sets last ran for. After a default request grew the
+// sets on borrowed lanes, a "workers":1 request on the patched version
+// repairs several blocks of samples and still borrows no lane, and its
+// answer equals a cold solve of that version.
+func TestFamilyRepairDrawsUnderRequestWorkers(t *testing.T) {
+	g := testGraph(t, 6)
+	m := &obs.Metrics{}
+	reg := NewRegistry(1, 0, m)
+	reg.lanes = sampling.NewLaneBudget(4)
+	e, err := reg.Add("g", "", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{K: 5, Epsilon: 0.3, Seed: 3, Metrics: m}
+	first, _, err := e.Solve(context.Background(), opts, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Snapshot().HelperLanes == 0 {
+		t.Fatalf("the default request borrowed no lanes (%d samples)", first.Samples)
+	}
+	// Cut the hub's first edges: most stored paths observed the hub.
+	hub := int32(0)
+	for u := range int32(g.N()) {
+		if len(g.OutNeighbors(u)) > len(g.OutNeighbors(hub)) {
+			hub = u
+		}
+	}
+	d := &graph.Delta{}
+	for _, v := range g.OutNeighbors(hub)[:3] {
+		d.Delete = append(d.Delete, graph.DeltaEdge{U: hub, V: v})
+	}
+	ng, err := graph.ApplyDelta(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Patch(d, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := m.Snapshot()
+	opts.Workers = 1
+	res, ver, err := e.Solve(context.Background(), opts, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := m.Snapshot()
+	if repaired := after.SamplesRepaired - before.SamplesRepaired; repaired <= 2*64 {
+		t.Fatalf("the repair redrew %d samples, want several blocks", repaired)
+	}
+	if after.HelperLanes != before.HelperLanes {
+		t.Fatalf("a workers:1 request borrowed %d lanes for its repair and solve", after.HelperLanes-before.HelperLanes)
+	}
+	if n := reg.lanes.InUse(); n != 0 {
+		t.Fatalf("%d lanes still in use after the solve", n)
+	}
+	want, err := core.Solve(context.Background(), ng, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ver != 2 || !reflect.DeepEqual(stripElapsed(res), stripElapsed(want)) {
+		t.Fatalf("the answer on version %d differs from a cold solve of version 2", ver)
 	}
 }

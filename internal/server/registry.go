@@ -22,7 +22,6 @@ import (
 	"gbc/internal/obs"
 	"gbc/internal/sampling"
 	"gbc/internal/shard"
-	"gbc/internal/wire"
 	"gbc/internal/xrand"
 )
 
@@ -551,7 +550,7 @@ func (e *Entry) Solve(ctx context.Context, opts core.Options, metrics *obs.Metri
 		res, err := core.Solve(ctx, v.g, opts)
 		return res, v.num, err
 	}
-	f.prepare(v, metrics)
+	f.prepare(v, opts.Workers, metrics)
 	// Sample content is index-pure, so sharded growth is bit-identical to
 	// local: attach the cluster grower when this entry shards and the solve
 	// runs on the version the workers share; clear it otherwise — a set
@@ -559,12 +558,7 @@ func (e *Entry) Solve(ctx context.Context, opts core.Options, metrics *obs.Metri
 	// on-disk file.
 	var remote sampling.RemoteGrower
 	if e.Shard != nil && e.ShardKey != "" && v.num == 1 {
-		// The workers draw with sampling.NewSetFor's choice of sampler.
-		kind := wire.SamplerBidirectional
-		if v.g.Weighted() {
-			kind = wire.SamplerDijkstra
-		}
-		remote = e.Shard.Grower(e.ShardKey, kind)
+		remote = e.Shard.Grower(e.ShardKey, sampling.KindFor(v.g))
 	}
 	// Every set draws under the server's lane budget; the solver then sets
 	// the request's workers as the cap on lanes per chunk.

@@ -9,6 +9,8 @@ import (
 	"gbc/internal/gen"
 	"gbc/internal/graph"
 	"gbc/internal/obs"
+	"gbc/internal/sampling"
+	"gbc/internal/wire"
 	"gbc/internal/xrand"
 )
 
@@ -186,5 +188,17 @@ func TestEntrySolveUncacheable(t *testing.T) {
 	s := m.Snapshot()
 	if s.RegistryHits != 0 || s.RegistryMisses != 0 {
 		t.Fatalf("uncacheable run touched the warm cache: %+v", s)
+	}
+}
+
+// TestShardSamplerKindIsWireName: the sampler kind a sharded entry asks
+// its workers for (sampling.KindFor, the kind sampling.NewSetFor builds
+// locally) is the shard protocol's name for that sampler.
+func TestShardSamplerKindIsWireName(t *testing.T) {
+	if got := sampling.KindFor(testGraph(t, 1)); got != wire.SamplerBidirectional {
+		t.Fatalf("unweighted graph: kind %q, want %q", got, wire.SamplerBidirectional)
+	}
+	if got := sampling.KindFor(weightedConformanceGraph(20, 1)); got != wire.SamplerDijkstra {
+		t.Fatalf("weighted graph: kind %q, want %q", got, wire.SamplerDijkstra)
 	}
 }

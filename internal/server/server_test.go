@@ -254,36 +254,43 @@ func TestTopKCoalescing(t *testing.T) {
 }
 
 // TestTopKDeadlinePartial: a deadline the run cannot meet yields HTTP 200
-// with partial:true and stop reason Deadline — a result, not an error. The
-// solve draws on one lane, which always commits its chunk, so a best-so-far
-// group exists however slow the host: several lanes abandon a chunk at the
-// deadline, and a first chunk cut short leaves no group (a 504).
+// with partial:true and stop reason Deadline — a result, not an error —
+// whether the solve draws on the server's lane budget (the default) or on
+// one lane ("workers": 1).
 func TestTopKDeadlinePartial(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	addGeneratedGraph(t, ts.URL, "g", 4000)
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			_, ts, _ := newTestServer(t, Config{})
+			addGeneratedGraph(t, ts.URL, "g", 4000)
 
-	status, body := post(t, ts.URL+"/v1/topk", map[string]any{
-		"graph": "g", "k": 10, "epsilon": 0.02, "seed": 1,
-		"timeoutMillis": 200, "workers": 1,
-	})
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, body)
-	}
-	var r topkResponse
-	if err := json.Unmarshal(body, &r); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Result.Partial || r.Result.Converged {
-		t.Fatalf("run under an unmeetable deadline must be partial: %+v", r.Result)
-	}
-	if r.Result.StopReason != core.StopDeadline {
-		t.Fatalf("stop reason %v, want Deadline", r.Result.StopReason)
-	}
-	if len(r.Result.Group) != 10 {
-		t.Fatalf("partial result still carries the best-so-far group: %+v", r.Result)
-	}
-	if r.TimeoutMillis != 200 {
-		t.Fatalf("effective timeout not echoed: %+v", r)
+			req := map[string]any{
+				"graph": "g", "k": 10, "epsilon": 0.02, "seed": 1,
+				"timeoutMillis": 200,
+			}
+			if workers > 0 {
+				req["workers"] = workers
+			}
+			status, body := post(t, ts.URL+"/v1/topk", req)
+			if status != http.StatusOK {
+				t.Fatalf("status %d: %s", status, body)
+			}
+			var r topkResponse
+			if err := json.Unmarshal(body, &r); err != nil {
+				t.Fatal(err)
+			}
+			if !r.Result.Partial || r.Result.Converged {
+				t.Fatalf("run under an unmeetable deadline must be partial: %+v", r.Result)
+			}
+			if r.Result.StopReason != core.StopDeadline {
+				t.Fatalf("stop reason %v, want Deadline", r.Result.StopReason)
+			}
+			if len(r.Result.Group) != 10 {
+				t.Fatalf("partial result still carries the best-so-far group: %+v", r.Result)
+			}
+			if r.TimeoutMillis != 200 {
+				t.Fatalf("effective timeout not echoed: %+v", r)
+			}
+		})
 	}
 }
 
